@@ -5,7 +5,7 @@
 
 use bench::bench_fn;
 use tensor::layernorm::{layer_norm_forward, LN_EPS};
-use tensor::ops::gelu_forward;
+use tensor::ops::{gelu_backward, gelu_forward};
 use tensor::softmax::softmax_rows;
 use tensor::{matmul_nn, matmul_nt, matmul_tn, Rng, Tensor};
 
@@ -38,9 +38,11 @@ fn bench_rectangular_shapes() {
 fn bench_pointwise() {
     let mut rng = Rng::new(2);
     let x = Tensor::randn(&[512, 512], 1.0, &mut rng);
+    let dy = Tensor::randn(&[512, 512], 1.0, &mut rng);
     let gamma = vec![1.0f32; 512];
     let beta = vec![0.0f32; 512];
     bench_fn("pointwise", "gelu", 20, || gelu_forward(&x));
+    bench_fn("pointwise", "gelu_backward", 20, || gelu_backward(&dy, &x));
     bench_fn("pointwise", "softmax_rows", 20, || softmax_rows(&x));
     bench_fn("pointwise", "layer_norm", 20, || {
         layer_norm_forward(&x, &gamma, &beta, LN_EPS)

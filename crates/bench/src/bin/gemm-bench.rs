@@ -17,6 +17,11 @@
 //! * `--threads` — comma-separated thread counts to sweep (default `1` and
 //!   the host's hardware threads, deduplicated).
 //!
+//! Beside the GEMM rows it times the element-wise GELU passes
+//! (`gelu_forward`, `gelu_backward`) at the MLP activation shape
+//! [512, 1024] for each thread count, as `pointwise` rows in billions of
+//! elements per second (`gelems`).
+//!
 //! The JSON carries a `host` stamp (thread count, AVX2, git rev) so the
 //! regression gate can flag cross-machine comparisons, and a
 //! `metrics_overhead` ratio — metrics-on vs metrics-off time at the largest
@@ -27,6 +32,7 @@ use bench::{bench_fn, render_table};
 use minjson::Json;
 use tensor::gemm::{gemm_acc, kernel_name, Form};
 use tensor::matmul::reference;
+use tensor::ops::{gelu_backward, gelu_forward};
 use tensor::pool;
 use tensor::{Rng, Tensor};
 
@@ -85,6 +91,50 @@ impl Row {
             ("gflops", Json::Num(self.gflops)),
         ])
     }
+}
+
+/// One element-wise kernel timing: `name` at `[rows, cols]`.
+struct PointwiseRow {
+    name: &'static str,
+    rows: usize,
+    cols: usize,
+    threads: usize,
+    secs: f64,
+}
+
+impl PointwiseRow {
+    fn gelems(&self) -> f64 {
+        (self.rows * self.cols) as f64 / self.secs / 1e9
+    }
+
+    fn json(&self) -> Json {
+        Json::obj(vec![
+            ("name", Json::Str(self.name.to_string())),
+            ("rows", Json::Num(self.rows as f64)),
+            ("cols", Json::Num(self.cols as f64)),
+            ("threads", Json::Num(self.threads as f64)),
+            ("secs", Json::Num(self.secs)),
+            ("gelems", Json::Num(self.gelems())),
+        ])
+    }
+}
+
+/// The MLP activation shape `[batch·seq, 4·hidden]` of the end-to-end
+/// benchmark's model, where the GELU passes run.
+const GELU_SHAPE: [usize; 2] = [512, 1024];
+
+/// Median times of `gelu_forward` and `gelu_backward` at [`GELU_SHAPE`]
+/// under a thread cap (0 = uncapped).
+fn time_gelu(cap: usize, samples: usize) -> [(&'static str, f64); 2] {
+    let x = rand(&GELU_SHAPE, 3);
+    let dy = rand(&GELU_SHAPE, 4);
+    let fwd = bench_fn("pointwise", &format!("gelu_fwd/t{cap}"), samples, || {
+        pool::with_thread_cap(cap, || gelu_forward(&x))
+    });
+    let bwd = bench_fn("pointwise", &format!("gelu_bwd/t{cap}"), samples, || {
+        pool::with_thread_cap(cap, || gelu_backward(&dy, &x))
+    });
+    [("gelu_fwd", fwd), ("gelu_bwd", bwd)]
 }
 
 /// Times `C += A·B` for the engine at a given thread cap (0 = uncapped).
@@ -272,6 +322,19 @@ fn main() {
         }
     }
 
+    let mut pointwise: Vec<PointwiseRow> = Vec::new();
+    for &t in &sweep {
+        for (name, secs) in time_gelu(t, if smoke { 9 } else { 31 }) {
+            pointwise.push(PointwiseRow {
+                name,
+                rows: GELU_SHAPE[0],
+                cols: GELU_SHAPE[1],
+                threads: if t == 0 { hw } else { t },
+                secs,
+            });
+        }
+    }
+
     // Seed baseline at the largest square shape in this mode.
     let baseline_shape = shapes
         .iter()
@@ -340,6 +403,22 @@ fn main() {
         "{}",
         render_table(&["shape", "mkn", "threads", "secs", "GFLOP/s"], &table)
     );
+    let table: Vec<Vec<String>> = pointwise
+        .iter()
+        .map(|r| {
+            vec![
+                r.name.to_string(),
+                format!("{}x{}", r.rows, r.cols),
+                r.threads.to_string(),
+                format!("{:.6}", r.secs),
+                format!("{:.3}", r.gelems()),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        render_table(&["kernel", "shape", "threads", "secs", "Gelem/s"], &table)
+    );
 
     let doc = Json::obj(vec![
         ("kernel", Json::Str(kernel_name().to_string())),
@@ -348,6 +427,10 @@ fn main() {
         ("smoke", Json::Bool(smoke)),
         ("metrics_overhead", Json::Num(overhead)),
         ("results", Json::Arr(rows.iter().map(Row::json).collect())),
+        (
+            "pointwise",
+            Json::Arr(pointwise.iter().map(PointwiseRow::json).collect()),
+        ),
         (
             "seed_baseline",
             Json::obj(vec![

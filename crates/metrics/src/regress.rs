@@ -5,10 +5,12 @@
 //! on them, so a kernel regression only surfaced when someone eyeballed the
 //! JSON. This module extracts the comparable scalar metrics from both bench
 //! schemas, pairs them by stable keys (shape name + thread count for GEMM
-//! rows; mesh size + schedule for step rows), and checks each fresh value
+//! rows and for the element-wise `pointwise` rows beside them; mesh size +
+//! schedule for step rows), and checks each fresh value
 //! against the baseline within a relative tolerance band:
 //!
-//! * higher-is-better metrics (GFLOP/s, speedups): `fresh ≥ base·(1 − tol)`
+//! * higher-is-better metrics (GFLOP/s, element rates, speedups):
+//!   `fresh ≥ base·(1 − tol)`
 //! * lower-is-better metrics (secs/step): `fresh ≤ base·(1 + tol)`
 //!
 //! Improvements never fail. Metrics present on only one side are skipped
@@ -85,6 +87,13 @@ fn num(j: &Json, key: &str) -> Option<f64> {
     j.get(key).ok().and_then(|v| v.as_f64().ok())
 }
 
+fn str_field(row: &Json, key: &str) -> Result<String, String> {
+    match row.get(key)? {
+        Json::Str(s) => Ok(s.clone()),
+        other => Err(format!("{key} must be a string, got {}", other.to_string())),
+    }
+}
+
 /// `(key, value, higher_is_better)` triples extracted from one bench file.
 fn extract(j: &Json) -> Result<Vec<(String, f64, bool)>, String> {
     let mut out = Vec::new();
@@ -97,15 +106,7 @@ fn extract(j: &Json) -> Result<Vec<(String, f64, bool)>, String> {
         }
         for row in j.get("results")?.as_arr()? {
             let q = row.get("q")?.as_usize()?;
-            let sched = match row.get("schedule")? {
-                Json::Str(s) => s.clone(),
-                other => {
-                    return Err(format!(
-                        "schedule must be a string, got {}",
-                        other.to_string()
-                    ))
-                }
-            };
+            let sched = str_field(row, "schedule")?;
             let secs = row.get("secs_per_step")?.as_f64()?;
             out.push((format!("step.q{q}.{sched}.secs_per_step"), secs, false));
         }
@@ -124,18 +125,19 @@ fn extract(j: &Json) -> Result<Vec<(String, f64, bool)>, String> {
             }
         }
         for row in j.get("results")?.as_arr()? {
-            let name = match row.get("name")? {
-                Json::Str(s) => s.clone(),
-                other => {
-                    return Err(format!(
-                        "shape name must be a string, got {}",
-                        other.to_string()
-                    ))
-                }
-            };
+            let name = str_field(row, "name")?;
             let threads = row.get("threads")?.as_usize()?;
             let gflops = row.get("gflops")?.as_f64()?;
             out.push((format!("gemm.{name}.t{threads}.gflops"), gflops, true));
+        }
+        // Element-wise kernel rows (absent from files written before them).
+        if let Ok(rows) = j.get("pointwise") {
+            for row in rows.as_arr()? {
+                let name = str_field(row, "name")?;
+                let threads = row.get("threads")?.as_usize()?;
+                let gelems = row.get("gelems")?.as_f64()?;
+                out.push((format!("pointwise.{name}.t{threads}.gelems"), gelems, true));
+            }
         }
         if let Some(ovh) = num(j, "metrics_overhead") {
             // Overhead ratio: lower is better, and it must stay near 1.
@@ -143,12 +145,6 @@ fn extract(j: &Json) -> Result<Vec<(String, f64, bool)>, String> {
         }
     } else if j.get("coll_winners").is_ok() {
         // BENCH_coll.json
-        let str_field = |row: &Json, key: &str| -> Result<String, String> {
-            match row.get(key)? {
-                Json::Str(s) => Ok(s.clone()),
-                other => Err(format!("{key} must be a string, got {}", other.to_string())),
-            }
-        };
         for row in j.get("results")?.as_arr()? {
             let op = str_field(row, "op")?;
             let algo = str_field(row, "algo")?;
@@ -261,6 +257,20 @@ mod tests {
         .unwrap()
     }
 
+    /// [`gemm`] plus GELU `pointwise` rows at one thread.
+    fn gemm_pointwise(fwd_gelems: f64, bwd_gelems: f64) -> Json {
+        let mut j = gemm(57.0, 3.2, false);
+        let rows = minjson::parse(&format!(
+            r#"[{{"name":"gelu_fwd","rows":512,"cols":1024,"threads":1,"secs":0.0009,"gelems":{fwd_gelems}}},
+                {{"name":"gelu_bwd","rows":512,"cols":1024,"threads":1,"secs":0.0012,"gelems":{bwd_gelems}}}]"#
+        ))
+        .unwrap();
+        if let Json::Obj(map) = &mut j {
+            map.insert("pointwise".into(), rows);
+        }
+        j
+    }
+
     fn step(secs_2x2: f64, speedup: f64) -> Json {
         minjson::parse(&format!(
             r#"{{"smoke":false,"overlap_speedup":{{"2x2":{speedup},"4x4":0.95}},
@@ -333,6 +343,33 @@ mod tests {
         // 40% faster: improvements never fail.
         let cmp = compare(&gemm(57.0, 3.2, false), &gemm(80.0, 4.5, false), 0.1).unwrap();
         assert!(cmp.passed());
+    }
+
+    #[test]
+    fn pointwise_rows_are_higher_is_better() {
+        let cmp = compare(&gemm_pointwise(0.5, 0.4), &gemm_pointwise(0.5, 0.4), 0.1).unwrap();
+        assert!(cmp.passed(), "{}", cmp.render());
+        for key in [
+            "pointwise.gelu_fwd.t1.gelems",
+            "pointwise.gelu_bwd.t1.gelems",
+        ] {
+            assert!(cmp
+                .checks
+                .iter()
+                .any(|c| c.key == key && c.higher_is_better));
+        }
+        // Backward at half the rate with a 10% band: must fail.
+        let cmp = compare(&gemm_pointwise(0.5, 0.4), &gemm_pointwise(0.5, 0.2), 0.1).unwrap();
+        let bad = cmp.violations();
+        assert_eq!(bad.len(), 1);
+        assert_eq!(bad[0].key, "pointwise.gelu_bwd.t1.gelems");
+        // A baseline written before the rows existed skips them.
+        let cmp = compare(&gemm(57.0, 3.2, false), &gemm_pointwise(0.5, 0.4), 0.1).unwrap();
+        assert!(cmp.passed());
+        assert!(cmp
+            .warnings
+            .iter()
+            .any(|w| w.contains("pointwise.gelu_fwd")));
     }
 
     #[test]

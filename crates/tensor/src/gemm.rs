@@ -108,54 +108,61 @@ fn ukr_portable(kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
 }
 
 /// # Safety
-/// Must only be called on CPUs with AVX2 and FMA (checked in [`select_ukr`]).
+/// Must only be called on CPUs with AVX2 and FMA (checked in [`Isa::host`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn ukr_avx2(kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
     ukr_body::<true>(kc, a, b, acc);
 }
 
-#[derive(Clone, Copy)]
-enum Ukr {
+/// The instruction set the crate's kernels are instantiated for: the GEMM
+/// microkernel here and the GELU loops in [`crate::ops`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Isa {
     Portable,
+    /// Constructed only by [`Isa::host`] after runtime detection.
     #[cfg(target_arch = "x86_64")]
-    Avx2,
+    Avx2Fma,
 }
 
-impl Ukr {
-    #[inline]
-    fn call(self, kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
-        match self {
-            Ukr::Portable => ukr_portable(kc, a, b, acc),
+impl Isa {
+    /// This CPU's instruction set, detected once per process.
+    pub(crate) fn host() -> Isa {
+        static ISA: std::sync::OnceLock<Isa> = std::sync::OnceLock::new();
+        *ISA.get_or_init(|| {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: the Avx2 variant is only constructed after runtime
-            // feature detection in `select_ukr`.
-            Ukr::Avx2 => unsafe { ukr_avx2(kc, a, b, acc) },
+            {
+                if std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("fma")
+                {
+                    return Isa::Avx2Fma;
+                }
+            }
+            Isa::Portable
+        })
+    }
+
+    #[inline]
+    fn ukr(self, kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
+        match self {
+            Isa::Portable => ukr_portable(kc, a, b, acc),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Avx2Fma` is only constructed after runtime feature
+            // detection in `Isa::host`.
+            Isa::Avx2Fma => unsafe { ukr_avx2(kc, a, b, acc) },
         }
     }
-}
-
-fn select_ukr() -> (Ukr, &'static str) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            return (Ukr::Avx2, "avx2+fma 6x16");
-        }
-    }
-    (Ukr::Portable, "portable 6x16")
-}
-
-fn ukr() -> Ukr {
-    static UKR: std::sync::OnceLock<(Ukr, &'static str)> = std::sync::OnceLock::new();
-    UKR.get_or_init(select_ukr).0
 }
 
 /// Human-readable name of the microkernel selected for this CPU
-/// (e.g. `"avx2+fma 6x16"`). Reported by `gemm-bench`.
+/// (e.g. `"avx2+fma 6x16"`). Reported by `gemm-bench`; the GELU loops run
+/// under the same instruction set.
 pub fn kernel_name() -> &'static str {
-    static UKR: std::sync::OnceLock<(Ukr, &'static str)> = std::sync::OnceLock::new();
-    UKR.get_or_init(select_ukr).1
+    match Isa::host() {
+        Isa::Portable => "portable 6x16",
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2Fma => "avx2+fma 6x16",
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -299,7 +306,7 @@ fn gemm_blocked_rows(
     r0: usize,
     r1: usize,
 ) {
-    let kernel = ukr();
+    let isa = Isa::host();
     SCRATCH.with(|s| {
         let mut s = s.borrow_mut();
         s.apack.resize(MC * KC, 0.0);
@@ -326,7 +333,7 @@ fn gemm_blocked_rows(
                                 let m_eff = MR.min(mc - ip * MR);
                                 let apanel = &apack[ip * kc * MR..(ip + 1) * kc * MR];
                                 let mut acc = [[0.0f32; NR]; MR];
-                                kernel.call(kc, apanel, bpanel, &mut acc);
+                                isa.ukr(kc, apanel, bpanel, &mut acc);
                                 let row_base = i0 - r0 + ip * MR;
                                 for (r, acc_row) in acc.iter().enumerate().take(m_eff) {
                                     let crow =

@@ -1,15 +1,15 @@
 //! Element-wise and broadcasting operations with manual gradients.
 //!
-//! The transcendental-heavy GELU passes split into element blocks on the
-//! shared compute pool ([`crate::pool`]); each element is written by exactly
-//! one task, so results are bitwise independent of the thread count.
+//! The GELU passes split into element blocks on the shared compute pool
+//! ([`crate::pool`]); each element is written by exactly one task, so
+//! results are bitwise independent of the thread count. Their loop bodies
+//! are instantiated twice, portable and AVX2, and dispatched on the same
+//! CPU probe as the GEMM microkernel ([`Isa::host`]); both compute the
+//! same bits.
 
+use crate::gemm::Isa;
 use crate::pool::{self, SendPtr};
 use crate::tensor::Tensor;
-
-/// Elements per pool task for the GELU loops (tanh-bound, so tasks can be
-/// smaller than for pure arithmetic; tiny tensors inline).
-const GELU_CHUNK: usize = 4096;
 
 /// Adds `bias` (length = cols) to every row of `x`, in place.
 ///
@@ -45,32 +45,120 @@ pub fn bias_grad(dy: &Tensor) -> Vec<f32> {
     g
 }
 
-/// Exact GELU: `x * Φ(x)` using the error function.
+/// `tanh(x)` as a clamped 13/6 odd rational minimax approximation (Eigen's
+/// `generic_fast_tanh_float`, also used by TensorFlow and XLA).
 ///
-/// We use the `tanh` approximation from the BERT/Megatron codebases so that
-/// forward and backward are cheap and self-consistent.
-pub fn gelu(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
+/// Within 4.3e-7 of the true `tanh` on all of `f32`. The clamp at
+/// ±7.905311 is where the rational reaches exactly ±1, so `tanh(±inf)` is
+/// ±1 and NaN propagates; below |x| < 4e-4 it returns `x` itself. It uses
+/// only `+ − × ÷`, clamp and abs, with no `mul_add`, so it vectorizes and
+/// gives the same bits under every instruction set.
+#[inline(always)]
+#[allow(clippy::excessive_precision)]
+fn tanh_rational(x: f32) -> f32 {
+    const CLAMP: f32 = 7.905_311_107_635_498_05;
+    const TINY: f32 = 4e-4;
+    const A1: f32 = 4.893_524_558_917_86e-3;
+    const A3: f32 = 6.372_619_288_754_36e-4;
+    const A5: f32 = 1.485_722_357_179_79e-5;
+    const A7: f32 = 5.122_297_090_371_14e-8;
+    const A9: f32 = -8.604_671_522_137_35e-11;
+    const A11: f32 = 2.000_187_904_824_77e-13;
+    const A13: f32 = -2.760_768_477_423_55e-16;
+    const B0: f32 = 4.893_525_185_543_85e-3;
+    const B2: f32 = 2.268_434_632_439_00e-3;
+    const B4: f32 = 1.185_347_056_866_54e-4;
+    const B6: f32 = 1.198_258_394_667_02e-6;
+    let c = x.clamp(-CLAMP, CLAMP);
+    let c2 = c * c;
+    let p = c * ((((((A13 * c2 + A11) * c2 + A9) * c2 + A7) * c2 + A5) * c2 + A3) * c2 + A1);
+    let q = ((B6 * c2 + B4) * c2 + B2) * c2 + B0;
+    if x.abs() < TINY {
+        x
+    } else {
+        p / q
+    }
 }
 
-/// Derivative of the tanh-approximate GELU.
+/// `sqrt(2/pi)`, the scale inside GELU's tanh.
+const GELU_C: f32 = 0.797_884_6;
+
+/// GELU in the tanh approximation of the BERT/Megatron codebases:
+/// `0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³)))`, with `tanh` from
+/// [`tanh_rational`]. Within 1e-6·max(1, |x|) of the same formula in `f64`.
+#[inline(always)]
+pub fn gelu(x: f32) -> f32 {
+    0.5 * x * (1.0 + tanh_rational(GELU_C * (x + 0.044715 * x * x * x)))
+}
+
+/// Derivative of [`gelu`] (within 5e-6 of the same formula in `f64`).
+#[inline(always)]
 pub fn gelu_grad(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6;
     let x3 = x * x * x;
-    let inner = C * (x + 0.044715 * x3);
-    let t = inner.tanh();
+    let inner = GELU_C * (x + 0.044715 * x3);
+    let t = tanh_rational(inner);
     let sech2 = 1.0 - t * t;
-    0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044715 * x * x)
+    0.5 * (1.0 + t) + 0.5 * x * sech2 * GELU_C * (1.0 + 3.0 * 0.044715 * x * x)
+}
+
+/// The GELU loop bodies, written once and instantiated per [`Isa`] below.
+#[inline(always)]
+fn gelu_fwd_body(xs: &mut [f32]) {
+    for v in xs {
+        *v = gelu(*v);
+    }
+}
+
+#[inline(always)]
+fn gelu_bwd_body(dy: &mut [f32], x: &[f32]) {
+    for (g, &xi) in dy.iter_mut().zip(x) {
+        *g *= gelu_grad(xi);
+    }
+}
+
+/// # Safety
+/// Must only be called on CPUs with AVX2 and FMA (checked in [`Isa::host`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn gelu_fwd_avx2(xs: &mut [f32]) {
+    gelu_fwd_body(xs);
+}
+
+/// # Safety
+/// Must only be called on CPUs with AVX2 and FMA (checked in [`Isa::host`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn gelu_bwd_avx2(dy: &mut [f32], x: &[f32]) {
+    gelu_bwd_body(dy, x);
+}
+
+/// `xs[i] = gelu(xs[i])` under `isa`.
+fn gelu_fwd_slice(isa: Isa, xs: &mut [f32]) {
+    match isa {
+        Isa::Portable => gelu_fwd_body(xs),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Avx2Fma` is only constructed after runtime feature
+        // detection in `Isa::host`.
+        Isa::Avx2Fma => unsafe { gelu_fwd_avx2(xs) },
+    }
+}
+
+/// `dy[i] *= gelu_grad(x[i])` under `isa`.
+fn gelu_bwd_slice(isa: Isa, dy: &mut [f32], x: &[f32]) {
+    match isa {
+        Isa::Portable => gelu_bwd_body(dy, x),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `gelu_fwd_slice`.
+        Isa::Avx2Fma => unsafe { gelu_bwd_avx2(dy, x) },
+    }
 }
 
 /// Applies GELU element-wise, returning a new tensor.
 pub fn gelu_forward(x: &Tensor) -> Tensor {
+    let isa = Isa::host();
     let mut out = x.clone();
-    pool::parallel_chunks_mut(out.as_mut_slice(), GELU_CHUNK, |_, chunk| {
-        for v in chunk {
-            *v = gelu(*v);
-        }
+    pool::parallel_chunks_mut(out.as_mut_slice(), pool::ELEM_CHUNK, |_, chunk| {
+        gelu_fwd_slice(isa, chunk);
     });
     out
 }
@@ -79,16 +167,15 @@ pub fn gelu_forward(x: &Tensor) -> Tensor {
 /// the paper's buffer scheme keeps matmul inputs but can discard outputs).
 pub fn gelu_backward(dy: &Tensor, x: &Tensor) -> Tensor {
     assert_eq!(dy.dims(), x.dims());
+    let isa = Isa::host();
     let mut dx = dy.clone();
     let n = dx.as_mut_slice().len();
     let xs = x.as_slice();
     let base = SendPtr::new(dx.as_mut_slice().as_mut_ptr());
-    pool::parallel_row_blocks(n, GELU_CHUNK, |i0, i1| {
+    pool::parallel_row_blocks(n, pool::ELEM_CHUNK, |i0, i1| {
         // SAFETY: element ranges are disjoint per task.
         let chunk = unsafe { std::slice::from_raw_parts_mut(base.get().add(i0), i1 - i0) };
-        for (g, &xi) in chunk.iter_mut().zip(&xs[i0..i1]) {
-            *g *= gelu_grad(xi);
-        }
+        gelu_bwd_slice(isa, chunk, &xs[i0..i1]);
     });
     dx
 }
@@ -171,6 +258,116 @@ mod tests {
         for (g, &xi) in dx.as_slice().iter().zip(x.as_slice()) {
             assert!((g - gelu_grad(xi)).abs() < 1e-6);
         }
+    }
+
+    /// `x` evenly over [-10, 10], both ends included.
+    fn sweep() -> impl Iterator<Item = f32> {
+        const N: usize = 1 << 20;
+        (0..=N).map(|i| -10.0 + 20.0 * (i as f64 / N as f64) as f32)
+    }
+
+    fn gelu_f64(x: f64) -> f64 {
+        let c = (2.0 / std::f64::consts::PI).sqrt();
+        0.5 * x * (1.0 + (c * (x + 0.044715 * x * x * x)).tanh())
+    }
+
+    fn gelu_grad_f64(x: f64) -> f64 {
+        let c = (2.0 / std::f64::consts::PI).sqrt();
+        let t = (c * (x + 0.044715 * x * x * x)).tanh();
+        0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * 0.044715 * x * x)
+    }
+
+    #[test]
+    fn tanh_gelu_and_grad_match_f64_reference() {
+        let (mut e_tanh, mut e_gelu, mut e_grad) = (0.0f64, 0.0f64, 0.0f64);
+        for x in sweep() {
+            let xd = x as f64;
+            e_tanh = e_tanh.max((tanh_rational(x) as f64 - xd.tanh()).abs());
+            e_gelu = e_gelu.max((gelu(x) as f64 - gelu_f64(xd)).abs() / xd.abs().max(1.0));
+            e_grad = e_grad.max((gelu_grad(x) as f64 - gelu_grad_f64(xd)).abs());
+        }
+        assert!(e_tanh <= 1e-6, "tanh abs error {e_tanh:e}");
+        assert!(e_gelu <= 1e-6, "gelu scaled error {e_gelu:e}");
+        assert!(e_grad <= 5e-6, "gelu_grad abs error {e_grad:e}");
+    }
+
+    #[test]
+    fn tanh_is_odd_and_bounded() {
+        let huge = [1e3f32, 1e20, f32::MAX, f32::INFINITY];
+        for x in sweep().chain(huge) {
+            let t = tanh_rational(x);
+            assert_eq!(tanh_rational(-x).to_bits(), (-t).to_bits(), "x={x}");
+            assert!(t.abs() <= 1.0, "x={x}: tanh={t}");
+        }
+        assert_eq!(tanh_rational(f32::INFINITY), 1.0);
+        assert_eq!(tanh_rational(f32::NEG_INFINITY), -1.0);
+    }
+
+    #[test]
+    fn non_finite_inputs_match_libm_tanh() {
+        // The formulas with the standard library's `tanh`, as before the
+        // rational approximation.
+        let libm_gelu = |x: f32| 0.5 * x * (1.0 + (GELU_C * (x + 0.044715 * x * x * x)).tanh());
+        let libm_grad = |x: f32| {
+            let t = (GELU_C * (x + 0.044715 * x * x * x)).tanh();
+            0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_C * (1.0 + 3.0 * 0.044715 * x * x)
+        };
+        let same = |a: f32, b: f32| (a.is_nan() && b.is_nan()) || a == b;
+        assert!(tanh_rational(f32::NAN).is_nan());
+        for x in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            assert!(same(gelu(x), libm_gelu(x)), "gelu({x}) = {}", gelu(x));
+            assert!(
+                same(gelu_grad(x), libm_grad(x)),
+                "gelu_grad({x}) = {}",
+                gelu_grad(x)
+            );
+        }
+        assert!(gelu(f32::NAN).is_nan() && gelu_grad(f32::NAN).is_nan());
+        assert_eq!(gelu(f32::INFINITY), f32::INFINITY);
+    }
+
+    /// A random input with the approximation's edge values mixed in; the
+    /// odd length leaves a scalar tail after the vector loop.
+    fn edge_input() -> Vec<f32> {
+        let mut x = Tensor::randn(&[4099], 4.0, &mut Rng::new(5)).into_vec();
+        let edges = [0.0, -0.0, 4e-4, -4e-4, 7.9, -7.9, 20.0, -20.0, f32::NAN];
+        for (i, &e) in edges.iter().enumerate() {
+            x[i * 97] = e;
+            x[4098 - i] = e;
+        }
+        x
+    }
+
+    #[test]
+    fn portable_and_avx2_instantiations_agree_bitwise() {
+        let host = Isa::host();
+        if host == Isa::Portable {
+            eprintln!("note: no AVX2+FMA on this CPU; only the portable GELU loops ran");
+            return;
+        }
+        let x = edge_input();
+        let dy = Tensor::randn(&[x.len()], 1.0, &mut Rng::new(6)).into_vec();
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let (mut fp, mut fh) = (x.clone(), x.clone());
+        gelu_fwd_slice(Isa::Portable, &mut fp);
+        gelu_fwd_slice(host, &mut fh);
+        assert_eq!(bits(&fp), bits(&fh), "gelu forward");
+        let (mut bp, mut bh) = (dy.clone(), dy.clone());
+        gelu_bwd_slice(Isa::Portable, &mut bp, &x);
+        gelu_bwd_slice(host, &mut bh, &x);
+        assert_eq!(bits(&bp), bits(&bh), "gelu backward");
+    }
+
+    #[test]
+    fn gelu_passes_are_bitwise_independent_of_thread_count() {
+        let x = edge_input().into_iter().cycle().take(64_000).collect();
+        let x = Tensor::from_vec(&[64, 1000], x);
+        let dy = Tensor::randn(&[64, 1000], 1.0, &mut Rng::new(7));
+        let bits = |t: &Tensor| t.as_slice().iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let serial = pool::with_thread_cap(1, || (gelu_forward(&x), gelu_backward(&dy, &x)));
+        let pooled = (gelu_forward(&x), gelu_backward(&dy, &x));
+        assert_eq!(bits(&serial.0), bits(&pooled.0));
+        assert_eq!(bits(&serial.1), bits(&pooled.1));
     }
 
     #[test]

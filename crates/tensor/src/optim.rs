@@ -11,9 +11,6 @@
 
 use crate::pool::{self, SendPtr};
 
-/// Parameters per pool task for the update loops (small blocks inline).
-const OPT_CHUNK: usize = 8192;
-
 /// Plain (momentum-free) SGD update `p -= lr * g` over a flat slice, split
 /// over the compute pool. The models' hand-rolled update loops route through
 /// this so every optimizer path shares the pool.
@@ -21,7 +18,7 @@ pub fn sgd_update(params: &mut [f32], grads: &[f32], lr: f32) {
     assert_eq!(params.len(), grads.len());
     let n = params.len();
     let pp = SendPtr::new(params.as_mut_ptr());
-    pool::parallel_row_blocks(n, OPT_CHUNK, |i0, i1| {
+    pool::parallel_row_blocks(n, pool::ELEM_CHUNK, |i0, i1| {
         // SAFETY: index ranges are disjoint per task.
         let ps = unsafe { std::slice::from_raw_parts_mut(pp.get().add(i0), i1 - i0) };
         for (p, g) in ps.iter_mut().zip(&grads[i0..i1]) {
@@ -64,7 +61,7 @@ impl Sgd {
             assert_eq!(self.velocity.len(), params.len());
             let momentum = self.momentum;
             let vp = SendPtr::new(self.velocity.as_mut_ptr());
-            pool::parallel_row_blocks(n, OPT_CHUNK, |i0, i1| {
+            pool::parallel_row_blocks(n, pool::ELEM_CHUNK, |i0, i1| {
                 // SAFETY: index ranges are disjoint per task.
                 let (ps, vs) = unsafe {
                     (
@@ -119,7 +116,7 @@ impl Adam {
         let pp = SendPtr::new(params.as_mut_ptr());
         let mp = SendPtr::new(self.m.as_mut_ptr());
         let vp = SendPtr::new(self.v.as_mut_ptr());
-        pool::parallel_row_blocks(n, OPT_CHUNK, |i0, i1| {
+        pool::parallel_row_blocks(n, pool::ELEM_CHUNK, |i0, i1| {
             // SAFETY: index ranges are disjoint per task.
             let (ps, ms, vs) = unsafe {
                 (

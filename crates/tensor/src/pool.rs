@@ -50,6 +50,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
+/// Elements per pool task for the element-wise loops (GELU, optimizer
+/// updates). At 1–2 ns per element a task runs 8–16 µs, far above the cost
+/// of claiming it; tensors of at most one chunk run inline. On a 2-core
+/// AVX2 host GELU at [512, 1024] is no slower with 8192 than with 4096.
+pub(crate) const ELEM_CHUNK: usize = 8192;
+
 /// Work (in claimed-task units) below which [`parallel_for`] stays inline.
 const MIN_TASKS_TO_SHARE: usize = 2;
 
