@@ -17,13 +17,18 @@
 //! * `--threads` — comma-separated thread counts to sweep (default `1` and
 //!   the host's hardware threads, deduplicated).
 //!
+//! Every shape is `C += A·B` (NN) except `wgrad-tn`, the `C += Aᵀ·B`
+//! weight gradient of the end-to-end benchmark's fc1 layer (m=256 hidden,
+//! k=512 tokens, n=1024): at m=256 the row split, not the kernel, decides
+//! how evenly two cores share the work.
+//!
 //! Beside the GEMM rows it times the element-wise GELU passes
 //! (`gelu_forward`, `gelu_backward`) at the MLP activation shape
 //! [512, 1024] for each thread count, as `pointwise` rows in billions of
 //! elements per second (`gelems`).
 //!
-//! The JSON carries a `host` stamp (thread count, AVX2, git rev) so the
-//! regression gate can flag cross-machine comparisons, and a
+//! The JSON carries a `host` stamp (thread count, AVX2, AVX-512, git rev)
+//! so the regression gate can flag cross-machine comparisons, and a
 //! `metrics_overhead` ratio — metrics-on vs metrics-off time at the largest
 //! square shape — which the gate treats as lower-is-better (the telemetry
 //! layer's "stay under 2%" budget).
@@ -38,6 +43,7 @@ use tensor::{Rng, Tensor};
 
 struct Shape {
     name: &'static str,
+    form: Form,
     m: usize,
     k: usize,
     n: usize,
@@ -45,20 +51,22 @@ struct Shape {
 
 #[rustfmt::skip]
 const FULL_SHAPES: &[Shape] = &[
-    Shape { name: "square-64", m: 64, k: 64, n: 64 },
-    Shape { name: "square-128", m: 128, k: 128, n: 128 },
-    Shape { name: "square-256", m: 256, k: 256, n: 256 },
-    Shape { name: "square-512", m: 512, k: 512, n: 512 },
-    Shape { name: "tall-skinny", m: 2048, k: 512, n: 64 },
-    Shape { name: "wide", m: 64, k: 512, n: 2048 },
-    Shape { name: "mlp-block", m: 512, k: 2048, n: 512 },
+    Shape { name: "square-64", form: Form::NN, m: 64, k: 64, n: 64 },
+    Shape { name: "square-128", form: Form::NN, m: 128, k: 128, n: 128 },
+    Shape { name: "square-256", form: Form::NN, m: 256, k: 256, n: 256 },
+    Shape { name: "square-512", form: Form::NN, m: 512, k: 512, n: 512 },
+    Shape { name: "tall-skinny", form: Form::NN, m: 2048, k: 512, n: 64 },
+    Shape { name: "wide", form: Form::NN, m: 64, k: 512, n: 2048 },
+    Shape { name: "mlp-block", form: Form::NN, m: 512, k: 2048, n: 512 },
+    Shape { name: "wgrad-tn", form: Form::TN, m: 256, k: 512, n: 1024 },
 ];
 
 #[rustfmt::skip]
 const SMOKE_SHAPES: &[Shape] = &[
-    Shape { name: "square-64", m: 64, k: 64, n: 64 },
-    Shape { name: "square-128", m: 128, k: 128, n: 128 },
-    Shape { name: "square-256", m: 256, k: 256, n: 256 },
+    Shape { name: "square-64", form: Form::NN, m: 64, k: 64, n: 64 },
+    Shape { name: "square-128", form: Form::NN, m: 128, k: 128, n: 128 },
+    Shape { name: "square-256", form: Form::NN, m: 256, k: 256, n: 256 },
+    Shape { name: "wgrad-tn", form: Form::TN, m: 256, k: 512, n: 1024 },
 ];
 
 fn gflops(m: usize, k: usize, n: usize, secs: f64) -> f64 {
@@ -137,15 +145,17 @@ fn time_gelu(cap: usize, samples: usize) -> [(&'static str, f64); 2] {
     [("gelu_fwd", fwd), ("gelu_bwd", bwd)]
 }
 
-/// Times `C += A·B` for the engine at a given thread cap (0 = uncapped).
+/// Times `C += op(A)·op(B)` in the shape's form for the engine at a given
+/// thread cap (0 = uncapped).
 fn time_engine(shape: &Shape, cap: usize, samples: usize) -> f64 {
-    let (m, k, n) = (shape.m, shape.k, shape.n);
-    let a = rand(&[m, k], 1).into_vec();
-    let b = rand(&[k, n], 2).into_vec();
+    let (form, m, k, n) = (shape.form, shape.m, shape.k, shape.n);
+    // op(A) is [m, k] and op(B) is [k, n]; only the element counts matter.
+    let a = rand(&[m * k], 1).into_vec();
+    let b = rand(&[k * n], 2).into_vec();
     let mut c = vec![0.0f32; m * n];
     let label = format!("{}/t{}", shape.name, cap);
     bench_fn("gemm", &label, samples, || {
-        pool::with_thread_cap(cap, || gemm_acc(Form::NN, &mut c, m, n, &a, &b, k));
+        pool::with_thread_cap(cap, || gemm_acc(form, &mut c, m, n, &a, &b, k));
         c[0]
     })
 }
@@ -365,6 +375,7 @@ fn main() {
     // CI, and the min is far more stable under runner load.
     let s256 = Shape {
         name: "square-256",
+        form: Form::NN,
         m: 256,
         k: 256,
         n: 256,

@@ -113,8 +113,9 @@ pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> std::io:
 
 /// Host metadata stamp embedded in every `BENCH_*.json` so the regression
 /// gate ([`metrics::regress`]) can tell whether a baseline and a fresh run
-/// came from comparable machines. Keys `threads` and `avx2` are the ones
-/// `regress::compare` warns on when they differ; `git_rev` records which
+/// came from comparable machines. Keys `threads`, `avx2` and `avx512` are
+/// the ones `regress::compare` warns on when they differ (`avx512` is the
+/// GEMM's 12×32 tier, AVX-512F); `git_rev` records which
 /// commit produced the numbers (best-effort — `"unknown"` outside a git
 /// checkout).
 pub fn host_stamp() -> minjson::Json {
@@ -129,6 +130,10 @@ pub fn host_stamp() -> minjson::Json {
     let avx2 = std::arch::is_x86_feature_detected!("avx2");
     #[cfg(not(target_arch = "x86_64"))]
     let avx2 = false;
+    #[cfg(target_arch = "x86_64")]
+    let avx512 = std::arch::is_x86_feature_detected!("avx512f");
+    #[cfg(not(target_arch = "x86_64"))]
+    let avx512 = false;
     let git_rev = std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
         .output()
@@ -142,6 +147,7 @@ pub fn host_stamp() -> minjson::Json {
         ("threads", Json::Num(threads as f64)),
         ("threads_detected", Json::Bool(threads_detected)),
         ("avx2", Json::Bool(avx2)),
+        ("avx512", Json::Bool(avx512)),
         ("git_rev", Json::Str(git_rev)),
     ])
 }
@@ -186,14 +192,18 @@ mod tests {
     #[test]
     fn host_stamp_has_gate_keys() {
         let stamp = host_stamp();
-        // `threads` and `avx2` are the keys regress::compare warns on; both
-        // must be present and well-typed on every platform.
+        // `threads`, `avx2` and `avx512` are the keys regress::compare
+        // warns on; all must be present and well-typed on every platform.
         assert!(stamp.get("threads").unwrap().as_usize().unwrap() >= 1);
         assert!(matches!(
             stamp.get("threads_detected").unwrap(),
             minjson::Json::Bool(_)
         ));
         assert!(matches!(stamp.get("avx2").unwrap(), minjson::Json::Bool(_)));
+        assert!(matches!(
+            stamp.get("avx512").unwrap(),
+            minjson::Json::Bool(_)
+        ));
         assert!(matches!(
             stamp.get("git_rev").unwrap(),
             minjson::Json::Str(s) if !s.is_empty()

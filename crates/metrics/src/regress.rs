@@ -16,10 +16,10 @@
 //! Improvements never fail. Metrics present on only one side are skipped
 //! (a smoke run covers a subset of the full shape sweep), so the same gate
 //! works for CI smoke runs against the committed full baselines. Host
-//! metadata (`host.threads`, `host.avx2`) is *compared but never gated* —
-//! a mismatch is reported as a warning because absolute numbers from a
-//! different machine are only loosely comparable; pick the tolerance
-//! accordingly.
+//! metadata (`host.threads`, `host.avx2`, `host.avx512`) is *compared but
+//! never gated* — a mismatch is reported as a warning because absolute
+//! numbers from a different machine are only loosely comparable; pick the
+//! tolerance accordingly.
 
 use minjson::Json;
 
@@ -183,7 +183,7 @@ fn host_warnings(baseline: &Json, fresh: &Json) -> Vec<String> {
     let fresh_host = fresh.get("host").ok();
     match (base_host, fresh_host) {
         (Some(b), Some(f)) => {
-            for key in ["threads", "avx2"] {
+            for key in ["threads", "avx2", "avx512"] {
                 let (bv, fv) = (b.get(key).ok(), f.get(key).ok());
                 if bv != fv {
                     warnings.push(format!(
@@ -409,12 +409,15 @@ mod tests {
                 Json::obj(vec![
                     ("threads", Json::Num(8.0)),
                     ("avx2", Json::Bool(true)),
+                    ("avx512", Json::Bool(true)),
                 ]),
             );
         }
         let cmp = compare(&gemm(57.0, 3.2, false), &fresh, 0.1).unwrap();
         assert!(cmp.passed());
         assert!(cmp.warnings.iter().any(|w| w.contains("host.threads")));
+        assert!(cmp.warnings.iter().any(|w| w.contains("host.avx512")));
+        assert!(!cmp.warnings.iter().any(|w| w.contains("host.avx2 ")));
     }
 
     #[test]

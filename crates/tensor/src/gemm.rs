@@ -18,30 +18,42 @@
 //!         microkernel: MR×NR accumulator over KC in registers
 //! ```
 //!
-//! Tiling parameters (f32): `MR×NR = 6×16` (12 AVX2 `ymm` accumulators plus
-//! operand registers — the classic Haswell SGEMM shape), `KC = 256`
-//! (`apack` panel 6×256×4 B = 6 KB, streams from L1), `MC = 96`
-//! (`apack` = 96 KB, L2-resident), `NC = 1024` (`bpack` = 1 MB, shared by
-//! every row block of the same contraction band).
+//! Tiling parameters (f32). The register tile `MR×NR` depends on the
+//! instruction set; the cache blocks do not (`MC` and `NC` are multiples of
+//! both tiles):
 //!
-//! The microkernel is written as plain auto-vectorizable Rust and
-//! instantiated twice: once under `#[target_feature(enable = "avx2,fma")]`
-//! (using `mul_add`, selected at runtime via CPU detection) and once
+//! | tier | `MR×NR` | accumulators | `apack` panel (`KC×MR`) |
+//! |---|---|---|---|
+//! | AVX-512F | 12×32 | 24 `zmm` (+2 B, +1 broadcast A) | 12 KB |
+//! | AVX2+FMA, portable | 6×16 | 12 `ymm` (+2 B, +1 broadcast A) | 6 KB |
+//!
+//! `KC = 256` (the `apack` panel streams from L1), `MC = 96` (`apack` =
+//! 96 KB, L2-resident), `NC = 1024` (`bpack` = 1 MB, shared by every row
+//! block of the same contraction band).
+//!
+//! The 6×16 kernel is plain auto-vectorizable Rust instantiated twice: once
+//! under `#[target_feature(enable = "avx2,fma")]` (using `mul_add`) and once
 //! portable (separate multiply/add — `mul_add` without hardware FMA is a
-//! libm call). Packed panels are padded with zeros to full MR/NR multiples,
-//! so the kernel itself has no edge branches; the write-back clips to the
-//! real tile bounds.
+//! libm call). The 12×32 kernel is written with `zmm` intrinsics: the same
+//! generic body at 8×32 or 12×32 no longer keeps its accumulator array in
+//! registers and runs at 2–4 GF/s, some 40× slower (DESIGN.md §2). The
+//! tier is selected once per process by `Isa::host`. Packed panels are
+//! padded with zeros to full MR/NR multiples, so the kernels have no edge
+//! branches; the write-back clips to the real tile bounds.
 //!
 //! # Parallelism and determinism
 //!
-//! Large products split their *output rows* into MC-row slabs executed on
-//! the shared [`crate::pool`]: each slab re-runs the full blocked loop nest
-//! on its rows (re-packing B per participant — a `P/m` fraction of the
-//! arithmetic, negligible for the shapes that go parallel). Every output
-//! element is computed by exactly one task in a fixed accumulation order, so
-//! the pooled result is **bitwise identical** to the serial one. Packing
-//! scratch lives in pool-owned thread-local buffers that persist across
-//! calls (no steady-state allocation).
+//! Large products split their *output rows* into one balanced, MR-aligned
+//! range per participating thread (at most one per MC rows) and run on the
+//! shared [`crate::pool`]: each participant runs the full blocked loop nest
+//! over its rows, so `op(B)` is packed once per `(j0, l0)` band per
+//! participant — not once per MC-row slab. Every output element is computed
+//! by exactly one task with the same accumulation order (`acc = 0`, an FMA
+//! chain in `l` order over one KC band, then `c += acc`), which depends
+//! neither on the row split nor on the tile shape. The pooled result is
+//! therefore **bitwise identical** to the serial one, and the AVX-512 result
+//! to the AVX2 one. Packing scratch lives in pool-owned thread-local buffers
+//! that persist across calls (no steady-state allocation).
 //!
 //! Device threads (under the mesh) additionally hold a core permit for the
 //! duration of a blocked product; see [`crate::pool`].
@@ -49,15 +61,11 @@
 use crate::pool::{self, SendPtr};
 use std::cell::RefCell;
 
-/// Microkernel rows (register-blocked rows of `C`).
-pub const MR: usize = 6;
-/// Microkernel columns (register-blocked columns of `C`).
-pub const NR: usize = 16;
-/// Rows of `op(A)` packed per macro-block (multiple of [`MR`]).
+/// Rows of `op(A)` packed per macro-block (multiple of every tile's MR).
 pub const MC: usize = 96;
 /// Contraction band width.
 pub const KC: usize = 256;
-/// Columns of `op(B)` packed per macro-block (multiple of [`NR`]).
+/// Columns of `op(B)` packed per macro-block (multiple of every tile's NR).
 pub const NC: usize = 1024;
 
 /// Multiply-add count below which the direct (non-packing) loops run.
@@ -76,7 +84,7 @@ pub enum Form {
 }
 
 // ---------------------------------------------------------------------------
-// Microkernel
+// Microkernels
 // ---------------------------------------------------------------------------
 
 /// The generic MR×NR microkernel body. `a` holds one packed A panel
@@ -84,7 +92,12 @@ pub enum Form {
 /// Inlined into the `target_feature` wrappers below so the same source
 /// compiles to an FMA/AVX2 kernel and a portable one.
 #[inline(always)]
-fn ukr_body<const FMA: bool>(kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
+fn ukr_body<const FMA: bool, const MR: usize, const NR: usize>(
+    kc: usize,
+    a: &[f32],
+    b: &[f32],
+    acc: &mut [[f32; NR]; MR],
+) {
     // Accumulate into a local copy: a by-value array is trivially promoted
     // to registers, where updating through `&mut` re-stores every iteration.
     let mut t = *acc;
@@ -103,26 +116,71 @@ fn ukr_body<const FMA: bool>(kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; N
     *acc = t;
 }
 
-fn ukr_portable(kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
-    ukr_body::<false>(kc, a, b, acc);
+fn ukr_portable(kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; 16]; 6]) {
+    ukr_body::<false, 6, 16>(kc, a, b, acc);
 }
 
 /// # Safety
 /// Must only be called on CPUs with AVX2 and FMA (checked in [`Isa::host`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn ukr_avx2(kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
-    ukr_body::<true>(kc, a, b, acc);
+unsafe fn ukr_avx2(kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; 16]; 6]) {
+    ukr_body::<true, 6, 16>(kc, a, b, acc);
+}
+
+/// The 12×32 AVX-512 microkernel: each row of the tile is two 16-lane `zmm`
+/// accumulators, and each step of `l` broadcasts one A value per row
+/// against two B vectors. Per element this is `acc = fma(a, b, acc)` in `l`
+/// order, exactly the FMA chain of the 6×16 AVX2 kernel.
+///
+/// # Safety
+/// Must only be called on CPUs with AVX-512F (checked in [`Isa::host`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn ukr_avx512(kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; 32]; 12]) {
+    use std::arch::x86_64::{
+        _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
+    };
+    // SAFETY (for every raw read below): step `l < kc` reads `a[12l..12l+12]`
+    // and `b[32l..32l+32]`, in bounds by these asserts; each `acc` row holds
+    // the 32 lanes its two vectors cover.
+    assert!(a.len() >= kc * 12, "A panel: {} < {kc}×12", a.len());
+    assert!(b.len() >= kc * 32, "B panel: {} < {kc}×32", b.len());
+    let mut t = [[_mm512_setzero_ps(); 2]; 12];
+    for (tr, row) in t.iter_mut().zip(acc.iter()) {
+        tr[0] = _mm512_loadu_ps(row.as_ptr());
+        tr[1] = _mm512_loadu_ps(row.as_ptr().add(16));
+    }
+    let (mut ap, mut bp) = (a.as_ptr(), b.as_ptr());
+    for _ in 0..kc {
+        let b0 = _mm512_loadu_ps(bp);
+        let b1 = _mm512_loadu_ps(bp.add(16));
+        for (r, tr) in t.iter_mut().enumerate() {
+            let av = _mm512_set1_ps(*ap.add(r));
+            tr[0] = _mm512_fmadd_ps(av, b0, tr[0]);
+            tr[1] = _mm512_fmadd_ps(av, b1, tr[1]);
+        }
+        ap = ap.add(12);
+        bp = bp.add(32);
+    }
+    for (tr, row) in t.iter().zip(acc.iter_mut()) {
+        _mm512_storeu_ps(row.as_mut_ptr(), tr[0]);
+        _mm512_storeu_ps(row.as_mut_ptr().add(16), tr[1]);
+    }
 }
 
 /// The instruction set the crate's kernels are instantiated for: the GEMM
-/// microkernel here and the GELU loops in [`crate::ops`].
+/// microkernels here and the GELU loops in [`crate::ops`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Isa {
     Portable,
     /// Constructed only by [`Isa::host`] after runtime detection.
     #[cfg(target_arch = "x86_64")]
     Avx2Fma,
+    /// AVX-512F on top of AVX2+FMA. Constructed only by [`Isa::host`]
+    /// after runtime detection.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
 }
 
 impl Isa {
@@ -135,33 +193,27 @@ impl Isa {
                 if std::arch::is_x86_feature_detected!("avx2")
                     && std::arch::is_x86_feature_detected!("fma")
                 {
+                    if std::arch::is_x86_feature_detected!("avx512f") {
+                        return Isa::Avx512;
+                    }
                     return Isa::Avx2Fma;
                 }
             }
             Isa::Portable
         })
     }
-
-    #[inline]
-    fn ukr(self, kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
-        match self {
-            Isa::Portable => ukr_portable(kc, a, b, acc),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx2Fma` is only constructed after runtime feature
-            // detection in `Isa::host`.
-            Isa::Avx2Fma => unsafe { ukr_avx2(kc, a, b, acc) },
-        }
-    }
 }
 
 /// Human-readable name of the microkernel selected for this CPU
-/// (e.g. `"avx2+fma 6x16"`). Reported by `gemm-bench`; the GELU loops run
+/// (e.g. `"avx512f 12x32"`). Reported by `gemm-bench`; the GELU loops run
 /// under the same instruction set.
 pub fn kernel_name() -> &'static str {
     match Isa::host() {
         Isa::Portable => "portable 6x16",
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2Fma => "avx2+fma 6x16",
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => "avx512f 12x32",
     }
 }
 
@@ -187,7 +239,7 @@ thread_local! {
 /// Packs `op(A)[rows0..rows1, l0..l0+kc]` as `div_ceil(rows, MR)` panels of
 /// `kc × MR` (rows beyond `rows1` padded with zeros).
 #[allow(clippy::too_many_arguments)]
-fn pack_a(
+fn pack_a<const MR: usize>(
     form: Form,
     dst: &mut [f32],
     a: &[f32],
@@ -239,7 +291,7 @@ fn pack_a(
 /// Packs `op(B)[l0..l0+kc, j0..j0+nc]` as `div_ceil(nc, NR)` panels of
 /// `kc × NR` (columns beyond `nc` padded with zeros).
 #[allow(clippy::too_many_arguments)]
-fn pack_b(
+fn pack_b<const NR: usize>(
     form: Form,
     dst: &mut [f32],
     b: &[f32],
@@ -293,20 +345,19 @@ fn pack_b(
 // ---------------------------------------------------------------------------
 
 /// Runs the full blocked loop nest over output rows `[r0, r1)`, writing into
-/// `c_slab` (the `(r1-r0) × n` row-major slab of `C` starting at row `r0`).
+/// `c_rows` (the `(r1-r0) × n` row-major block of `C` starting at row `r0`).
 #[allow(clippy::too_many_arguments)]
-fn gemm_blocked_rows(
+fn gemm_blocked_rows<const MR: usize, const NR: usize>(
     form: Form,
-    c_slab: &mut [f32],
+    c_rows: &mut [f32],
     n: usize,
     a: &[f32],
     b: &[f32],
     k: usize,
     m: usize,
-    r0: usize,
-    r1: usize,
+    (r0, r1): (usize, usize),
+    ukr: &impl Fn(usize, &[f32], &[f32], &mut [[f32; NR]; MR]),
 ) {
-    let isa = Isa::host();
     SCRATCH.with(|s| {
         let mut s = s.borrow_mut();
         s.apack.resize(MC * KC, 0.0);
@@ -318,12 +369,12 @@ fn gemm_blocked_rows(
             for l0 in (0..k).step_by(KC) {
                 let kc = KC.min(k - l0);
                 trace::span("gemm.pack_b", || {
-                    pack_b(form, bpack, b, k, n, l0, kc, j0, nc);
+                    pack_b::<NR>(form, bpack, b, k, n, l0, kc, j0, nc);
                 });
                 for i0 in (r0..r1).step_by(MC) {
                     let mc = MC.min(r1 - i0);
                     trace::span("gemm.pack_a", || {
-                        pack_a(form, apack, a, k, m, (i0, i0 + mc), l0, kc);
+                        pack_a::<MR>(form, apack, a, k, m, (i0, i0 + mc), l0, kc);
                     });
                     trace::span("gemm.ukr", || {
                         for jp in 0..jpanels {
@@ -333,11 +384,11 @@ fn gemm_blocked_rows(
                                 let m_eff = MR.min(mc - ip * MR);
                                 let apanel = &apack[ip * kc * MR..(ip + 1) * kc * MR];
                                 let mut acc = [[0.0f32; NR]; MR];
-                                isa.ukr(kc, apanel, bpanel, &mut acc);
+                                ukr(kc, apanel, bpanel, &mut acc);
                                 let row_base = i0 - r0 + ip * MR;
                                 for (r, acc_row) in acc.iter().enumerate().take(m_eff) {
                                     let crow =
-                                        &mut c_slab[(row_base + r) * n + j0 + jp * NR..][..n_eff];
+                                        &mut c_rows[(row_base + r) * n + j0 + jp * NR..][..n_eff];
                                     for (dst, &v) in crow.iter_mut().zip(acc_row.iter()) {
                                         *dst += v;
                                     }
@@ -349,6 +400,63 @@ fn gemm_blocked_rows(
             }
         }
     });
+}
+
+/// Splits `C`'s rows into one balanced, MR-aligned range per participant
+/// (at most the thread budget, at most one per MC rows) and runs the
+/// blocked nest on each range over the pool.
+#[allow(clippy::too_many_arguments)]
+fn gemm_split<const MR: usize, const NR: usize>(
+    form: Form,
+    c: &mut [f32],
+    m: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    ukr: impl Fn(usize, &[f32], &[f32], &mut [[f32; NR]; MR]) + Sync,
+) {
+    let parts = pool::thread_budget().min(m.div_ceil(MC));
+    let panels = m.div_ceil(MR);
+    // Part `t` starts at panel `⌊panels·t/parts⌋`; `parts ≤ panels`, so no
+    // range is empty.
+    let bound = |t: usize| (panels * t / parts * MR).min(m);
+    let cptr = SendPtr::new(c.as_mut_ptr());
+    pool::parallel_for(parts, |t| {
+        let (r0, r1) = (bound(t), bound(t + 1));
+        // SAFETY: each task owns the disjoint row range [r0, r1) of C.
+        let c_rows =
+            unsafe { std::slice::from_raw_parts_mut(cptr.get().add(r0 * n), (r1 - r0) * n) };
+        gemm_blocked_rows::<MR, NR>(form, c_rows, n, a, b, k, m, (r0, r1), &ukr);
+    });
+}
+
+/// The blocked engine under `isa`'s microkernel and tile.
+#[allow(clippy::too_many_arguments)]
+fn gemm_blocked(
+    isa: Isa,
+    form: Form,
+    c: &mut [f32],
+    m: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+) {
+    match isa {
+        Isa::Portable => gemm_split::<6, 16>(form, c, m, n, a, b, k, ukr_portable),
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2Fma => gemm_split::<6, 16>(form, c, m, n, a, b, k, |kc, a, b, acc| {
+            // SAFETY: `Avx2Fma` is only constructed after runtime feature
+            // detection in `Isa::host`.
+            unsafe { ukr_avx2(kc, a, b, acc) }
+        }),
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => gemm_split::<12, 32>(form, c, m, n, a, b, k, |kc, a, b, acc| {
+            // SAFETY: as above, for `Avx512`.
+            unsafe { ukr_avx512(kc, a, b, acc) }
+        }),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -409,9 +517,10 @@ fn gemm_small(form: Form, c: &mut [f32], m: usize, n: usize, a: &[f32], b: &[f32
 /// `op(B): [k, n]` (see [`Form`] for the physical layouts).
 ///
 /// Small products run direct loops; large ones run the cache-blocked packed
-/// engine, split over the shared compute pool by MC-row output slabs. On a
-/// simulated-device thread the blocked path holds a core permit (see
-/// [`crate::pool`]). Results are bitwise independent of the thread count.
+/// engine, its output rows split into one range per participating thread of
+/// the shared compute pool. On a simulated-device thread the blocked path
+/// holds a core permit (see [`crate::pool`]). Results are bitwise
+/// independent of the thread count.
 pub fn gemm_acc(form: Form, c: &mut [f32], m: usize, n: usize, a: &[f32], b: &[f32], k: usize) {
     let (a_len, b_len) = match form {
         Form::NN => (m * k, k * n),
@@ -429,16 +538,7 @@ pub fn gemm_acc(form: Form, c: &mut [f32], m: usize, n: usize, a: &[f32], b: &[f
         return;
     }
     let _core = pool::device_core_permit();
-    let tasks = m.div_ceil(MC);
-    let cptr = SendPtr::new(c.as_mut_ptr());
-    pool::parallel_for(tasks, |t| {
-        let r0 = t * MC;
-        let r1 = m.min(r0 + MC);
-        // SAFETY: each task owns the disjoint row range [r0, r1) of C.
-        let c_slab =
-            unsafe { std::slice::from_raw_parts_mut(cptr.get().add(r0 * n), (r1 - r0) * n) };
-        gemm_blocked_rows(form, c_slab, n, a, b, k, m, r0, r1);
-    });
+    gemm_blocked(Isa::host(), form, c, m, n, a, b, k);
 }
 
 #[cfg(test)]
@@ -476,13 +576,17 @@ mod tests {
 
     #[test]
     fn panel_boundary_shapes() {
-        // Exactly on and just off the MR/NR/MC/KC/NC boundaries.
+        // Exactly on and just off the MC/KC/NC boundaries and the MR/NR
+        // boundaries of both tiles (6×16 and 12×32).
         for form in [Form::NN, Form::NT, Form::TN] {
             for &(m, k, n) in &[
-                (MR, KC, NR),
-                (MR + 1, KC + 1, NR + 1),
-                (MC, 64, NR * 2),
-                (MC + MR - 1, KC - 1, 33),
+                (6, KC, 16),
+                (7, KC + 1, 17),
+                (MC, 64, 32),
+                (MC + 5, KC - 1, 33),
+                (12, KC, 32),
+                (13, KC + 1, 33),
+                (MC + 11, KC - 1, 65),
             ] {
                 check(form, m, k, n, 7 + m as u64);
             }
@@ -517,6 +621,53 @@ mod tests {
     #[test]
     fn kernel_name_is_reported() {
         let name = kernel_name();
-        assert!(name.contains("6x16"), "got {name}");
+        let tile = match Isa::host() {
+            Isa::Portable => "6x16",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2Fma => "6x16",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => "12x32",
+        };
+        assert!(name.ends_with(tile), "got {name}, expected the {tile} tile");
+    }
+
+    /// `op(A) op(B)` from a zero `C` through `isa`'s blocked engine, as bits.
+    fn blocked_bits(
+        isa: Isa,
+        form: Form,
+        (m, k, n): (usize, usize, usize),
+        a: &[f32],
+        b: &[f32],
+    ) -> Vec<u32> {
+        let mut c = vec![0.0f32; m * n];
+        gemm_blocked(isa, form, &mut c, m, n, a, b, k);
+        c.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn avx512_tier_is_bitwise_equal_to_avx2() {
+        #[cfg(target_arch = "x86_64")]
+        if Isa::host() == Isa::Avx512 {
+            // On and around both tiles' MR (6 | 12) and NR (16 | 32), MC,
+            // KC and NC. Operands are prefixes of one random buffer each.
+            let a = rand_vec(97 * 257, 31);
+            let b = rand_vec(257 * 1025, 32);
+            for form in [Form::NN, Form::NT, Form::TN] {
+                for m in [11, 12, 13, 95, 96, 97] {
+                    for n in [31, 32, 33, 1025] {
+                        for k in [255, 256, 257] {
+                            let (a, b) = (&a[..m * k], &b[..k * n]);
+                            assert_eq!(
+                                blocked_bits(Isa::Avx512, form, (m, k, n), a, b),
+                                blocked_bits(Isa::Avx2Fma, form, (m, k, n), a, b),
+                                "{form:?} m={m} k={k} n={n}"
+                            );
+                        }
+                    }
+                }
+            }
+            return;
+        }
+        eprintln!("note: no AVX-512F on this CPU; the AVX-512 ≡ AVX2 comparison did not run");
     }
 }

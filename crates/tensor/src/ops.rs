@@ -3,9 +3,9 @@
 //! The GELU passes split into element blocks on the shared compute pool
 //! ([`crate::pool`]); each element is written by exactly one task, so
 //! results are bitwise independent of the thread count. Their loop bodies
-//! are instantiated twice, portable and AVX2, and dispatched on the same
-//! CPU probe as the GEMM microkernel ([`Isa::host`]); both compute the
-//! same bits.
+//! are instantiated portable, AVX2 and AVX-512, and dispatched on the same
+//! CPU probe as the GEMM microkernel ([`Isa::host`]); all three compute
+//! the same bits.
 
 use crate::gemm::Isa;
 use crate::pool::{self, SendPtr};
@@ -132,6 +132,22 @@ unsafe fn gelu_bwd_avx2(dy: &mut [f32], x: &[f32]) {
     gelu_bwd_body(dy, x);
 }
 
+/// # Safety
+/// Must only be called on CPUs with AVX-512F (checked in [`Isa::host`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn gelu_fwd_avx512(xs: &mut [f32]) {
+    gelu_fwd_body(xs);
+}
+
+/// # Safety
+/// Must only be called on CPUs with AVX-512F (checked in [`Isa::host`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn gelu_bwd_avx512(dy: &mut [f32], x: &[f32]) {
+    gelu_bwd_body(dy, x);
+}
+
 /// `xs[i] = gelu(xs[i])` under `isa`.
 fn gelu_fwd_slice(isa: Isa, xs: &mut [f32]) {
     match isa {
@@ -140,6 +156,9 @@ fn gelu_fwd_slice(isa: Isa, xs: &mut [f32]) {
         // SAFETY: `Avx2Fma` is only constructed after runtime feature
         // detection in `Isa::host`.
         Isa::Avx2Fma => unsafe { gelu_fwd_avx2(xs) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above, for `Avx512`.
+        Isa::Avx512 => unsafe { gelu_fwd_avx512(xs) },
     }
 }
 
@@ -150,6 +169,9 @@ fn gelu_bwd_slice(isa: Isa, dy: &mut [f32], x: &[f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as in `gelu_fwd_slice`.
         Isa::Avx2Fma => unsafe { gelu_bwd_avx2(dy, x) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `gelu_fwd_slice`.
+        Isa::Avx512 => unsafe { gelu_bwd_avx512(dy, x) },
     }
 }
 
@@ -340,22 +362,33 @@ mod tests {
 
     #[test]
     fn portable_and_avx2_instantiations_agree_bitwise() {
-        let host = Isa::host();
-        if host == Isa::Portable {
+        // Every instantiation this CPU can run: AVX2 under AVX-512 too.
+        let tiers: Vec<Isa> = match Isa::host() {
+            Isa::Portable => vec![],
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2Fma => vec![Isa::Avx2Fma],
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => vec![Isa::Avx2Fma, Isa::Avx512],
+        };
+        if tiers.is_empty() {
             eprintln!("note: no AVX2+FMA on this CPU; only the portable GELU loops ran");
             return;
         }
         let x = edge_input();
         let dy = Tensor::randn(&[x.len()], 1.0, &mut Rng::new(6)).into_vec();
         let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-        let (mut fp, mut fh) = (x.clone(), x.clone());
+        let mut fp = x.clone();
         gelu_fwd_slice(Isa::Portable, &mut fp);
-        gelu_fwd_slice(host, &mut fh);
-        assert_eq!(bits(&fp), bits(&fh), "gelu forward");
-        let (mut bp, mut bh) = (dy.clone(), dy.clone());
+        let mut bp = dy.clone();
         gelu_bwd_slice(Isa::Portable, &mut bp, &x);
-        gelu_bwd_slice(host, &mut bh, &x);
-        assert_eq!(bits(&bp), bits(&bh), "gelu backward");
+        for isa in tiers {
+            let mut fh = x.clone();
+            gelu_fwd_slice(isa, &mut fh);
+            assert_eq!(bits(&fp), bits(&fh), "gelu forward, {isa:?}");
+            let mut bh = dy.clone();
+            gelu_bwd_slice(isa, &mut bh, &x);
+            assert_eq!(bits(&bp), bits(&bh), "gelu backward, {isa:?}");
+        }
     }
 
     #[test]

@@ -464,6 +464,12 @@ fn helper_budget() -> usize {
     }
 }
 
+/// Threads a kernel started on this thread may use: the pool's hardware
+/// threads, lowered by [`with_thread_cap`].
+pub(crate) fn thread_budget() -> usize {
+    pool().hw_threads().min(helper_budget().saturating_add(1))
+}
+
 /// Runs `f(0..tasks)` on the global pool with the caller participating.
 /// Respects [`with_thread_cap`]. Inlines when the pool has no spare cores.
 pub fn parallel_for(tasks: usize, f: impl Fn(usize) + Sync) {

@@ -13,10 +13,10 @@ use tensor::gemm::{gemm_acc, Form};
 use tensor::matmul::reference;
 use tensor::{pool, Rng};
 
-/// Shape grid: microkernel stripes are 6 rows (MR) × 16 columns (NR),
-/// cache blocks are MC=96 / KC=256 / NC=1024, and products under 32³ MACs
-/// take the direct small path.
-const DIMS: &[usize] = &[1, 6, 7, 16, 17, 31, 96, 97, 256];
+/// Shape grid: the microkernel tile is 12 rows (MR) × 32 columns (NR) on
+/// AVX-512 hosts and 6×16 elsewhere, cache blocks are MC=96 / KC=256 /
+/// NC=1024, and products under 32³ MACs take the direct small path.
+const DIMS: &[usize] = &[1, 6, 7, 12, 13, 16, 17, 31, 32, 33, 96, 97, 256];
 const FORMS: &[Form] = &[Form::NN, Form::NT, Form::TN];
 
 fn fill(len: usize, rng: &mut Rng) -> Vec<f32> {
@@ -43,8 +43,8 @@ fn check_shape(form: Form, m: usize, k: usize, n: usize, rng: &mut Rng) {
     let mut pooled = vec![0.0f32; m * n];
     gemm_acc(form, &mut pooled, m, n, &a, &b, k);
 
-    // Row-slab ownership with a fixed per-slab accumulation order makes the
-    // pooled result bitwise equal to the serial one, not merely close.
+    // Row-range ownership with a fixed per-element accumulation order makes
+    // the pooled result bitwise equal to the serial one, not merely close.
     assert_eq!(
         serial, pooled,
         "{form:?} {m}x{k}x{n}: pooled differs from serial"
@@ -89,6 +89,19 @@ fn blocked_path_large_shapes() {
         // Tall-skinny and k=1 extremes through the blocked path.
         check_shape(form, 300, 40, 5, &mut rng);
         check_shape(form, 64, 1, 64, &mut rng);
+    }
+}
+
+#[test]
+fn row_split_matches_single_thread_at_model_sizes() {
+    // The row split gives each participant one balanced range of several
+    // MC blocks; at these heights it differs from a single MC-slab walk in
+    // where the ranges start, never in any element's accumulation order.
+    let mut rng = Rng::new(0x5B17);
+    for &form in FORMS {
+        for m in [256, 512, 1024] {
+            check_shape(form, m, 257, 160, &mut rng);
+        }
     }
 }
 
