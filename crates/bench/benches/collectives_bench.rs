@@ -3,7 +3,7 @@
 //! payloads.
 
 use bench::bench_fn;
-use mesh::{Group, Mesh};
+use mesh::{Communicator, Group, Mesh};
 
 fn bench_broadcast() {
     for p in [4usize, 9, 16] {

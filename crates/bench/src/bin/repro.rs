@@ -444,7 +444,7 @@ fn projection(profile: &HardwareProfile) {
 /// recorded volumes against the Table 1 closed forms — the worked example of
 /// EXPERIMENTS.md and OBSERVABILITY.md.
 fn trace_demo(profile: &HardwareProfile) {
-    use mesh::{Arrangement, Communicator, Mesh, Mesh2d, Topology};
+    use mesh::{Arrangement, Mesh, Mesh2d, Topology};
     use optimus_core::{OptimusConfig, OptimusModel};
     use perf::tracecheck;
     use tensor::Rng;

@@ -101,12 +101,11 @@ impl CollAlgo {
 
 /// Number of pipeline segments the chain algorithms split a payload into.
 ///
-/// Pure function of `(elems, group_size)` shared by the live schedule, the
-/// dry-run mirror, and `perf::cost` pricing, so all three agree on wire
-/// sizes and round counts. Segments are ~2048 `f32` (8 KiB), capped at 32;
-/// payloads below one segment stream as a single hop.
-pub fn chain_segments(elems: usize, group_size: usize) -> usize {
-    let _ = group_size; // reserved: a future rule may cap S by chain length
+/// Pure function of the payload size shared by the chain schedules and
+/// `perf::cost` pricing, so both agree on wire sizes and round counts.
+/// Segments are ~2048 `f32` (8 KiB), capped at 32; payloads below one
+/// segment stream as a single hop.
+pub fn chain_segments(elems: usize) -> usize {
     elems.div_ceil(2048).clamp(1, 32)
 }
 
@@ -302,14 +301,14 @@ mod tests {
 
     #[test]
     fn chain_segments_is_clamped_and_monotone() {
-        assert_eq!(chain_segments(0, 4), 1);
-        assert_eq!(chain_segments(1, 4), 1);
-        assert_eq!(chain_segments(2048, 4), 1);
-        assert_eq!(chain_segments(2049, 4), 2);
-        assert_eq!(chain_segments(1 << 20, 4), 32);
+        assert_eq!(chain_segments(0), 1);
+        assert_eq!(chain_segments(1), 1);
+        assert_eq!(chain_segments(2048), 1);
+        assert_eq!(chain_segments(2049), 2);
+        assert_eq!(chain_segments(1 << 20), 32);
         let mut last = 0;
         for n in [0usize, 1, 7, 1023, 65536, 1 << 20] {
-            let s = chain_segments(n, 8);
+            let s = chain_segments(n);
             assert!(s >= last.min(32));
             last = s;
         }

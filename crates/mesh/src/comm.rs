@@ -1,18 +1,22 @@
 //! The pluggable collective surface.
 //!
-//! Every distributed layer in the workspace (`summa`, `megatron`,
-//! `optimus-core`, `pipeline`) speaks to its devices through this trait
-//! rather than a concrete context, so the same program runs on two backends:
+//! The distributed layers `summa`, `megatron`, `optimus-core` and `hybrid`
+//! speak to their devices through this trait rather than a concrete
+//! context, so the same program runs on two backends (`pipeline` is the
+//! exception: its stage loop takes the live [`crate::DeviceCtx`] directly):
 //!
 //! * [`crate::DeviceCtx`] — the **live** backend: one OS thread per device,
 //!   real data movement over channels, pooled per-hop scratch buffers.
 //! * [`crate::DryRunComm`] — the **trace-only** backend: no threads, no data
-//!   movement; it just replays each collective's communication pattern into
-//!   the [`CommLog`], producing op/link streams identical to the live
+//!   movement; it records the sends of each collective's schedule into the
+//!   [`CommLog`], producing op/link streams identical to the live
 //!   backend's so the `perf` cost model can price a step without running it.
 //!
-//! Both trait impls additionally emit one [`trace`] op event per collective
-//! when a trace collector is active on the calling thread (see
+//! Both backends implement the trait through one shared layer
+//! (`collectives.rs`): each collective is a per-member schedule
+//! (`schedule.rs`) that the live fabric executes and the dry run records.
+//! That layer also emits one [`trace`] op event per collective when a trace
+//! collector is active on the calling thread (see
 //! [`crate::Mesh::run_traced`] / [`crate::Mesh::dry_run_traced`]); untraced
 //! runs pay a single thread-local read per collective.
 //!
@@ -54,7 +58,7 @@
 use crate::algo::{self, CollAlgo};
 use crate::group::Group;
 use crate::nonblocking::PendingColl;
-use crate::stats::{group_shape, CommLog, CommOp};
+use crate::stats::{CommLog, CommOp};
 use crate::wire::{self, WireDtype};
 
 /// A device's handle to the communication fabric: identity, point-to-point
@@ -83,15 +87,10 @@ pub trait Communicator {
     /// panicking. Receives record nothing in the [`CommLog`] (only senders
     /// record link records), so logs stay byte-identical across backends —
     /// this is the p2p analogue of pre-sizing non-root broadcast buffers.
+    ///
+    /// A length mismatch panics, in release builds too.
     fn recv_expect(&self, from: usize, len: usize) -> Vec<f32> {
-        let data = self.recv(from);
-        debug_assert_eq!(
-            data.len(),
-            len,
-            "recv_expect from {from}: declared {len} elems, wire carried {}",
-            data.len()
-        );
-        data
+        checked_recv(self.rank(), from, len, self.recv(from))
     }
 
     /// Broadcast from group index `root`. Non-root buffers must be
@@ -193,8 +192,12 @@ pub trait Communicator {
     }
 
     /// [`Communicator::all_reduce_algo`] at an explicit wire precision.
-    /// Under a 16-bit dtype the result is not bitwise-equal across members;
-    /// see `DeviceCtx::all_reduce_algo_wire_by` for the error contract.
+    ///
+    /// Under a 16-bit dtype the result is **not** bitwise-equal across
+    /// members (a chunk's owner combines full-precision locals while other
+    /// members receive its quantized form); each element differs from the
+    /// f32 result by at most one quantization error per wire hop on its
+    /// reduction path.
     fn all_reduce_algo_wire(&self, group: &Group, data: &mut [f32], algo: CollAlgo, w: WireDtype);
 
     /// All-reduce (max) — for the distributed log-sum-exp.
@@ -251,8 +254,9 @@ pub trait Communicator {
     /// Scatter from group index `root` in ring-chunk boundaries.
     fn scatter(&self, group: &Group, root: usize, data: &[f32]) -> Vec<f32>;
 
-    /// Gather to group index `root` (inverse of scatter); non-roots get an
-    /// empty vector.
+    /// Gather to group index `root`: every member contributes an
+    /// equal-length `local`, and the root gets them concatenated in group
+    /// order; non-roots get an empty vector.
     fn gather(&self, group: &Group, root: usize, local: &[f32]) -> Vec<f32>;
 
     /// Barrier over a group.
@@ -265,230 +269,13 @@ pub trait Communicator {
     fn take_log(&self) -> CommLog;
 }
 
-/// Runs one collective under a trace op event (when a collector is active).
-///
-/// `run` executes the collective and returns `(result, logical_elems)`; the
-/// logical payload is computed *after* the call because a live non-root
-/// broadcast only learns its size from the wire. `wire` is an O(1) probe of
-/// the device's total sent elements, sampled before/after to attribute wire
-/// traffic to the event. Nested calls (a barrier built from reduce +
-/// broadcast) are collapsed into the outermost event by the tracer's depth
-/// guard, so both backends emit exactly one event per logical collective.
-pub(crate) fn traced_op<T>(
-    op: CommOp,
-    algo: CollAlgo,
-    w: WireDtype,
-    group: &Group,
-    wire: impl Fn() -> usize,
-    run: impl FnOnce() -> (T, usize),
-) -> T {
-    if !trace::is_active() {
-        return run().0;
-    }
-    let wire_before = wire();
-    let timer = trace::op_begin();
-    let (out, elems) = run();
-    let wire_elems = wire() - wire_before;
-    let (group_size, group_first, group_stride) = group_shape(group);
-    trace::op_end(
-        timer,
-        trace::OpMeta {
-            kind: op.name(),
-            group_size,
-            group_first,
-            group_stride,
-            elems,
-            wire_elems,
-            axis: group.label(),
-            algo: algo.name(),
-            wire: w.name(),
-        },
+/// A received payload, checked against the length its receiver declared.
+pub(crate) fn checked_recv(rank: usize, from: usize, len: usize, data: Vec<f32>) -> Vec<f32> {
+    assert_eq!(
+        data.len(),
+        len,
+        "recv_expect at rank {rank} from {from}: declared {len} elems, the wire carried {}",
+        data.len()
     );
-    out
-}
-
-impl Communicator for crate::DeviceCtx {
-    fn rank(&self) -> usize {
-        crate::DeviceCtx::rank(self)
-    }
-    fn world_size(&self) -> usize {
-        crate::DeviceCtx::world_size(self)
-    }
-    fn send(&self, to: usize, data: Vec<f32>) {
-        crate::DeviceCtx::send(self, to, data)
-    }
-    fn recv(&self, from: usize) -> Vec<f32> {
-        crate::DeviceCtx::recv(self, from)
-    }
-    fn broadcast_algo_wire(
-        &self,
-        group: &Group,
-        root: usize,
-        data: &mut [f32],
-        algo: CollAlgo,
-        w: WireDtype,
-    ) {
-        traced_op(
-            CommOp::Broadcast,
-            algo,
-            w,
-            group,
-            || self.wire_total(),
-            || {
-                crate::DeviceCtx::broadcast_algo_wire(self, group, root, data, algo, w);
-                ((), data.len())
-            },
-        )
-    }
-    fn reduce_algo_wire(
-        &self,
-        group: &Group,
-        root: usize,
-        data: &mut [f32],
-        algo: CollAlgo,
-        w: WireDtype,
-    ) {
-        traced_op(
-            CommOp::Reduce,
-            algo,
-            w,
-            group,
-            || self.wire_total(),
-            || {
-                crate::DeviceCtx::reduce_algo_wire(self, group, root, data, algo, w);
-                ((), data.len())
-            },
-        )
-    }
-    fn ibroadcast(&self, group: &Group, root: usize, buf: Vec<f32>) -> PendingColl {
-        crate::DeviceCtx::ibroadcast(self, group, root, buf)
-    }
-    fn ireduce(&self, group: &Group, root: usize, buf: Vec<f32>) -> PendingColl {
-        crate::DeviceCtx::ireduce(self, group, root, buf)
-    }
-    fn all_reduce_algo_wire(&self, group: &Group, data: &mut [f32], algo: CollAlgo, w: WireDtype) {
-        traced_op(
-            CommOp::AllReduce,
-            algo,
-            w,
-            group,
-            || self.wire_total(),
-            || {
-                crate::DeviceCtx::all_reduce_algo_wire(self, group, data, algo, w);
-                ((), data.len())
-            },
-        )
-    }
-    fn all_reduce_max(&self, group: &Group, data: &mut [f32]) {
-        let algo = algo::select(CommOp::AllReduce, group.len(), data.len());
-        let w = wire::select(CommOp::AllReduce, group.len(), data.len());
-        traced_op(
-            CommOp::AllReduce,
-            algo,
-            w,
-            group,
-            || self.wire_total(),
-            || {
-                crate::DeviceCtx::all_reduce_algo_wire_by(self, group, data, algo, w, f32::max);
-                ((), data.len())
-            },
-        )
-    }
-    fn all_gather_algo_wire(
-        &self,
-        group: &Group,
-        local: &[f32],
-        algo: CollAlgo,
-        w: WireDtype,
-    ) -> Vec<f32> {
-        traced_op(
-            CommOp::AllGather,
-            algo,
-            w,
-            group,
-            || self.wire_total(),
-            || {
-                (
-                    crate::DeviceCtx::all_gather_algo_wire(self, group, local, algo, w),
-                    local.len(),
-                )
-            },
-        )
-    }
-    fn reduce_scatter_algo_wire(
-        &self,
-        group: &Group,
-        data: &mut [f32],
-        algo: CollAlgo,
-        w: WireDtype,
-    ) -> Vec<f32> {
-        traced_op(
-            CommOp::ReduceScatter,
-            algo,
-            w,
-            group,
-            || self.wire_total(),
-            || {
-                let n = data.len();
-                (
-                    crate::DeviceCtx::reduce_scatter_algo_wire(self, group, data, algo, w),
-                    n,
-                )
-            },
-        )
-    }
-    fn scatter(&self, group: &Group, root: usize, data: &[f32]) -> Vec<f32> {
-        traced_op(
-            CommOp::ReduceScatter,
-            CollAlgo::Ring,
-            WireDtype::F32,
-            group,
-            || self.wire_total(),
-            || {
-                let out = crate::DeviceCtx::scatter(self, group, root, data);
-                // Non-roots pass an empty slice and learn the logical size from
-                // their chunk — mirroring what the CommLog records.
-                let elems = if data.is_empty() {
-                    out.len() * group.len()
-                } else {
-                    data.len()
-                };
-                (out, elems)
-            },
-        )
-    }
-    fn gather(&self, group: &Group, root: usize, local: &[f32]) -> Vec<f32> {
-        traced_op(
-            CommOp::AllGather,
-            CollAlgo::Ring,
-            WireDtype::F32,
-            group,
-            || self.wire_total(),
-            || {
-                (
-                    crate::DeviceCtx::gather(self, group, root, local),
-                    local.len(),
-                )
-            },
-        )
-    }
-    fn barrier(&self, group: &Group) {
-        traced_op(
-            CommOp::Barrier,
-            CollAlgo::Tree,
-            WireDtype::F32,
-            group,
-            || self.wire_total(),
-            || {
-                crate::DeviceCtx::barrier(self, group);
-                ((), 0)
-            },
-        )
-    }
-    fn log_snapshot(&self) -> CommLog {
-        crate::DeviceCtx::log_snapshot(self)
-    }
-    fn take_log(&self) -> CommLog {
-        crate::DeviceCtx::take_log(self)
-    }
+    data
 }

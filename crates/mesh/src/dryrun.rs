@@ -1,12 +1,15 @@
 //! The trace-only [`Communicator`] backend.
 //!
-//! [`DryRunComm`] moves no data and spawns no threads. Each collective walks
-//! the *same* tree/ring schedule as the live `DeviceCtx` implementation and
-//! records the op/link stream that schedule would produce — and nothing
-//! else. Running a distributed program once per rank on a single thread
-//! therefore yields communication logs byte-for-byte identical to a live
-//! mesh run (asserted by `tests/dryrun_equivalence.rs`), at the cost of the
-//! numerical results being garbage: received payloads are zeros.
+//! [`DryRunComm`] moves no data and spawns no threads. Each collective builds
+//! the *same* per-member schedule (`schedule.rs`) as the live `DeviceCtx`,
+//! and the layer both backends share (`collectives.rs`) records its op,
+//! one link record per `Send` at the packed wire length, and its trace
+//! event; the dry run then executes nothing. Receives are silent (links are
+//! recorded by senders). Running a distributed program once per rank on a
+//! single thread therefore yields communication logs byte-for-byte
+//! identical to a live mesh run by construction (asserted by
+//! `tests/dryrun_equivalence.rs`), at the cost of the numerical results
+//! being garbage: received payloads are zeros.
 //!
 //! This works because every distributed program in this workspace is
 //! **data-independent**: its communication pattern depends only on shapes
@@ -18,6 +21,9 @@
 //! [`trace::DeviceTrace`] timelines: a fresh virtual-clock collector is
 //! installed per rank, advanced by a caller-supplied α-β pricer, so the
 //! "measured" durations of a dry-run trace *are* the model's predictions.
+//! Non-blocking collectives complete at post; their op event still spans
+//! `[post, post + priced duration]` on the virtual clock, which is how a
+//! dry run prices comm/compute overlap.
 //!
 //! # Limitations
 //!
@@ -28,15 +34,12 @@
 //!   data movement); no library code calls it.
 //! * Point-to-point `recv` requires the matching `send` to have already run,
 //!   i.e. the sender's rank was replayed earlier. Forward pipelines satisfy
-//!   this; cyclic p2p patterns (Cannon shifts) need the live backend.
+//!   this; cyclic p2p patterns (Cannon shifts) need the live backend, or
+//!   [`DryRunComm::recv_expect`] with a declared length.
 
-use crate::algo::{self, chain_segments, CollAlgo};
-use crate::collectives::{bcast_tree, bruck_rounds, chunk_start, halving_rounds, reduce_tree};
-use crate::comm::{traced_op, Communicator};
-use crate::group::Group;
-use crate::nonblocking::{post_records, PendingColl};
-use crate::stats::{record_group_op, CommLog, CommOp};
-use crate::wire::{self, packed_len, WireDtype};
+use crate::collectives::Transport;
+use crate::comm::Communicator;
+use crate::stats::CommLog;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
@@ -55,10 +58,6 @@ pub struct DryRunComm {
     wire: Rc<RefCell<DryWire>>,
 }
 
-/// The collective schedules, as inherent methods mirroring
-/// [`crate::DeviceCtx`]'s: the [`Communicator`] impl wraps these with trace
-/// op events, and composites (barrier) call the inherent forms directly so
-/// both backends emit exactly one event per logical collective.
 impl DryRunComm {
     pub(crate) fn new(rank: usize, p: usize, wire: Rc<RefCell<DryWire>>) -> Self {
         DryRunComm {
@@ -69,28 +68,21 @@ impl DryRunComm {
         }
     }
 
-    fn my_index(&self, group: &Group) -> usize {
-        group
-            .index_of(self.rank)
-            .unwrap_or_else(|| panic!("device {} is not in group {:?}", self.rank, group))
+    /// This simulated device's world rank.
+    pub fn rank(&self) -> usize {
+        self.rank
     }
 
-    fn record_op(&self, op: CommOp, algo: CollAlgo, group: &Group, elems: usize) {
-        record_group_op(&mut self.log.borrow_mut(), op, algo, group, elems);
+    /// Number of devices in the simulated world.
+    pub fn world_size(&self) -> usize {
+        self.p
     }
 
-    fn record_send(&self, to: usize, elems: usize) {
+    /// Point-to-point send: logged as a link record, its length queued for
+    /// the matching receive.
+    pub fn send(&self, to: usize, data: Vec<f32>) {
         assert!(to < self.p, "send to rank {to} out of range (p={})", self.p);
-        self.log.borrow_mut().record_link(self.rank, to, elems);
-    }
-
-    /// O(1) total of elements "sent" so far (tracer wire attribution).
-    pub(crate) fn wire_total(&self) -> usize {
-        self.log.borrow().total_link_elems()
-    }
-
-    fn send(&self, to: usize, data: Vec<f32>) {
-        self.record_send(to, data.len());
+        self.log.borrow_mut().record_link(self.rank, to, data.len());
         self.wire
             .borrow_mut()
             .queued
@@ -99,378 +91,36 @@ impl DryRunComm {
             .push_back(data.len());
     }
 
-    fn recv(&self, from: usize) -> Vec<f32> {
-        let len = self
-            .wire
-            .borrow_mut()
-            .queued
+    fn dequeue(&self, from: usize) -> Option<usize> {
+        let mut wire = self.wire.borrow_mut();
+        wire.queued
             .get_mut(&(from, self.rank))
             .and_then(|q| q.pop_front())
-            .unwrap_or_else(|| {
-                panic!(
-                    "dry-run recv at {} from {from} has no matching send; \
-                     p2p patterns with cyclic dependencies need the live backend",
-                    self.rank
-                )
-            });
+    }
+
+    /// Point-to-point receive: a zero payload of the length the matching,
+    /// already replayed send queued.
+    pub fn recv(&self, from: usize) -> Vec<f32> {
+        let len = self.dequeue(from).unwrap_or_else(|| {
+            panic!(
+                "dry-run recv at {} from {from} has no matching send; \
+                 p2p patterns with cyclic dependencies need the live backend",
+                self.rank
+            )
+        });
         vec![0.0; len]
     }
 
-    fn broadcast(&self, group: &Group, root: usize, data: &mut [f32]) {
-        let a = algo::select(CommOp::Broadcast, group.len(), data.len());
-        self.broadcast_algo(group, root, data, a);
-    }
-
-    fn broadcast_algo(&self, group: &Group, root: usize, data: &mut [f32], algo: CollAlgo) {
-        let w = wire::select(CommOp::Broadcast, group.len(), data.len());
-        self.broadcast_algo_wire(group, root, data, algo, w);
-    }
-
-    fn broadcast_algo_wire(
-        &self,
-        group: &Group,
-        root: usize,
-        data: &mut [f32],
-        algo: CollAlgo,
-        w: WireDtype,
-    ) {
-        let g = group.len();
-        assert!(root < g, "root index {root} out of range for group of {g}");
-        let me = self.my_index(group);
-        if g > 1 {
-            let rel = (me + g - root) % g;
-            let abs = |r: usize| group.rank_of((r + root) % g);
-            // Receives are silent (links are recorded by senders); only the
-            // live schedule's sends are replayed, in the live order, at the
-            // live per-hop *packed* lengths.
-            match algo {
-                CollAlgo::Tree => {
-                    let (_, children) = bcast_tree(g, rel);
-                    for &child in &children {
-                        self.record_send(abs(child), packed_len(data.len(), w));
-                    }
-                }
-                CollAlgo::Chain => {
-                    if rel + 1 < g {
-                        let n = data.len();
-                        let s = chain_segments(n, g);
-                        for j in 0..s {
-                            let elems = chunk_start(n, s, j + 1) - chunk_start(n, s, j);
-                            self.record_send(abs(rel + 1), packed_len(elems, w));
-                        }
-                    }
-                }
-                other => panic!("{:?} is not a broadcast algorithm", other),
-            }
-        }
-        self.record_op(CommOp::Broadcast, algo, group, data.len());
-    }
-
-    fn reduce(&self, group: &Group, root: usize, data: &mut [f32]) {
-        let a = algo::select(CommOp::Reduce, group.len(), data.len());
-        self.reduce_algo(group, root, data, a);
-    }
-
-    fn reduce_algo(&self, group: &Group, root: usize, data: &mut [f32], algo: CollAlgo) {
-        let w = wire::select(CommOp::Reduce, group.len(), data.len());
-        self.reduce_algo_wire(group, root, data, algo, w);
-    }
-
-    fn reduce_algo_wire(
-        &self,
-        group: &Group,
-        root: usize,
-        data: &mut [f32],
-        algo: CollAlgo,
-        w: WireDtype,
-    ) {
-        let g = group.len();
-        assert!(root < g, "root index {root} out of range for group of {g}");
-        let me = self.my_index(group);
-        self.record_op(CommOp::Reduce, algo, group, data.len());
-        if g == 1 {
-            return;
-        }
-        let rel = (me + g - root) % g;
-        let abs = |r: usize| group.rank_of((r + root) % g);
-        match algo {
-            CollAlgo::Tree => {
-                let (_, target) = reduce_tree(g, rel);
-                if let Some(target) = target {
-                    self.record_send(abs(target), packed_len(data.len(), w));
-                }
-            }
-            CollAlgo::Chain => {
-                if rel > 0 {
-                    let n = data.len();
-                    let s = chain_segments(n, g);
-                    for j in 0..s {
-                        let elems = chunk_start(n, s, j + 1) - chunk_start(n, s, j);
-                        self.record_send(abs(rel - 1), packed_len(elems, w));
-                    }
-                }
-            }
-            other => panic!("{:?} is not a reduce algorithm", other),
-        }
-    }
-
-    /// Trace-only `ibroadcast`: records the identical post-time op/link
-    /// stream as the live backend and returns an already-completed handle —
-    /// there is no wire for the transfer to overlap with. Under a traced
-    /// dry run the op event is still emitted at `wait`, spanning
-    /// `[post, post + priced duration]` on the virtual clock, which is how
-    /// a dry run prices comm/compute overlap.
-    pub fn ibroadcast(&self, group: &Group, root: usize, buf: Vec<f32>) -> PendingColl {
-        let g = group.len();
-        assert!(root < g, "root index {root} out of range for group of {g}");
-        let me = self.my_index(group);
-        let w = wire::select(CommOp::Broadcast, g, buf.len());
-        let traced = post_records(
-            || self.wire_total(),
-            CommOp::Broadcast,
-            group,
-            buf.len(),
-            w,
-            || {
-                if g > 1 {
-                    let rel = (me + g - root) % g;
-                    let abs = |r: usize| group.rank_of((r + root) % g);
-                    let (_, children) = bcast_tree(g, rel);
-                    for &child in &children {
-                        self.record_send(abs(child), packed_len(buf.len(), w));
-                    }
-                }
-                self.record_op(CommOp::Broadcast, CollAlgo::Tree, group, buf.len());
-            },
-        );
-        PendingColl::ready(CommOp::Broadcast, buf, traced)
-    }
-
-    /// Trace-only `ireduce`; see [`DryRunComm::ibroadcast`].
-    pub fn ireduce(&self, group: &Group, root: usize, buf: Vec<f32>) -> PendingColl {
-        let g = group.len();
-        assert!(root < g, "root index {root} out of range for group of {g}");
-        let me = self.my_index(group);
-        let w = wire::select(CommOp::Reduce, g, buf.len());
-        let traced = post_records(
-            || self.wire_total(),
-            CommOp::Reduce,
-            group,
-            buf.len(),
-            w,
-            || {
-                self.record_op(CommOp::Reduce, CollAlgo::Tree, group, buf.len());
-                if g > 1 {
-                    let rel = (me + g - root) % g;
-                    let abs = |r: usize| group.rank_of((r + root) % g);
-                    let (_, target) = reduce_tree(g, rel);
-                    if let Some(target) = target {
-                        self.record_send(abs(target), packed_len(buf.len(), w));
-                    }
-                }
-            },
-        );
-        PendingColl::ready(CommOp::Reduce, buf, traced)
-    }
-
-    fn all_reduce_algo_wire(&self, group: &Group, data: &mut [f32], algo: CollAlgo, w: WireDtype) {
-        let g = group.len();
-        let me = self.my_index(group);
-        let n = data.len();
-        self.record_op(CommOp::AllReduce, algo, group, n);
-        if g == 1 {
-            return;
-        }
-        match algo {
-            CollAlgo::Ring => {
-                let right = group.rank_of((me + 1) % g);
-                let chunk = |i: usize| chunk_start(n, g, (i % g) + 1) - chunk_start(n, g, i % g);
-                for step in 0..g - 1 {
-                    self.record_send(right, packed_len(chunk((me + g - step) % g), w));
-                }
-                for step in 0..g - 1 {
-                    self.record_send(right, packed_len(chunk((me + 1 + g - step) % g), w));
-                }
-            }
-            CollAlgo::Halving => {
-                let rounds = halving_rounds(g, me);
-                let elems =
-                    |clo: usize, chi: usize| chunk_start(n, g, chi) - chunk_start(n, g, clo);
-                for round in &rounds {
-                    for &(peer, clo, chi) in &round.sends {
-                        self.record_send(group.rank_of(peer), packed_len(elems(clo, chi), w));
-                    }
-                }
-                for round in rounds.iter().rev() {
-                    for &(peer, clo, chi) in &round.recvs {
-                        self.record_send(group.rank_of(peer), packed_len(elems(clo, chi), w));
-                    }
-                }
-            }
-            CollAlgo::Tree => {
-                let (_, target) = reduce_tree(g, me);
-                if let Some(target) = target {
-                    self.record_send(group.rank_of(target), packed_len(n, w));
-                }
-                let (_, children) = bcast_tree(g, me);
-                for &child in &children {
-                    self.record_send(group.rank_of(child), packed_len(n, w));
-                }
-            }
-            other => panic!("{:?} is not an all-reduce algorithm", other),
-        }
-    }
-
-    fn all_gather_algo_wire(
-        &self,
-        group: &Group,
-        local: &[f32],
-        algo: CollAlgo,
-        w: WireDtype,
-    ) -> Vec<f32> {
-        let g = group.len();
-        let me = self.my_index(group);
-        self.record_op(CommOp::AllGather, algo, group, local.len());
-        let n = local.len();
-        let mut out = vec![0.0f32; n * g];
-        out[me * n..(me + 1) * n].copy_from_slice(local);
-        if g == 1 {
-            return out;
-        }
-        match algo {
-            CollAlgo::Ring => {
-                let right = group.rank_of((me + 1) % g);
-                for _ in 0..g - 1 {
-                    self.record_send(right, packed_len(n, w));
-                }
-            }
-            CollAlgo::Bruck => {
-                for (have, cnt) in bruck_rounds(g) {
-                    let dst = group.rank_of((me + g - have) % g);
-                    self.record_send(dst, packed_len(cnt * n, w));
-                }
-            }
-            other => panic!("{:?} is not an all-gather algorithm", other),
-        }
-        out
-    }
-
-    fn reduce_scatter_algo_wire(
-        &self,
-        group: &Group,
-        data: &mut [f32],
-        algo: CollAlgo,
-        w: WireDtype,
-    ) -> Vec<f32> {
-        let g = group.len();
-        let me = self.my_index(group);
-        self.record_op(CommOp::ReduceScatter, algo, group, data.len());
-        let n = data.len();
-        if g == 1 {
-            return data.to_vec();
-        }
-        match algo {
-            CollAlgo::Ring => {
-                let right = group.rank_of((me + 1) % g);
-                for step in 0..g - 1 {
-                    let i = (me + 2 * g - step - 1) % g;
-                    let elems = chunk_start(n, g, i + 1) - chunk_start(n, g, i);
-                    self.record_send(right, packed_len(elems, w));
-                }
-            }
-            CollAlgo::Halving => {
-                let elems =
-                    |clo: usize, chi: usize| chunk_start(n, g, chi) - chunk_start(n, g, clo);
-                for round in &halving_rounds(g, me) {
-                    for &(peer, clo, chi) in &round.sends {
-                        self.record_send(group.rank_of(peer), packed_len(elems(clo, chi), w));
-                    }
-                }
-            }
-            other => panic!("{:?} is not a reduce-scatter algorithm", other),
-        }
-        let (m0, m1) = (chunk_start(n, g, me), chunk_start(n, g, me + 1));
-        data[m0..m1].to_vec()
-    }
-
-    fn scatter(&self, group: &Group, root: usize, data: &[f32]) -> Vec<f32> {
-        let g = group.len();
-        assert!(root < g, "root index {root} out of range for group of {g}");
-        let me = self.my_index(group);
-        if me != root {
-            panic!(
-                "DryRunComm cannot scatter on non-root members: the chunk \
-                 size only exists on the wire"
-            );
-        }
-        self.record_op(CommOp::ReduceScatter, CollAlgo::Ring, group, data.len());
-        let n = data.len();
-        for i in 0..g {
-            if i != root {
-                let elems = chunk_start(n, g, i + 1) - chunk_start(n, g, i);
-                self.record_send(group.rank_of(i), elems);
-            }
-        }
-        let (m0, m1) = (chunk_start(n, g, me), chunk_start(n, g, me + 1));
-        data[m0..m1].to_vec()
-    }
-
-    fn gather(&self, group: &Group, root: usize, local: &[f32]) -> Vec<f32> {
-        let g = group.len();
-        assert!(root < g, "root index {root} out of range for group of {g}");
-        let me = self.my_index(group);
-        self.record_op(CommOp::AllGather, CollAlgo::Ring, group, local.len());
-        if me == root {
-            // Assume equal-length contributions (the pattern every library
-            // call site uses); peers' payloads are zeros here.
-            let n = local.len();
-            let mut out = vec![0.0f32; n * g];
-            out[me * n..(me + 1) * n].copy_from_slice(local);
-            out
-        } else {
-            self.record_send(group.rank_of(root), local.len());
-            Vec::new()
-        }
-    }
-
-    fn barrier(&self, group: &Group) {
-        self.record_op(CommOp::Barrier, CollAlgo::Tree, group, 0);
-        self.reduce(group, 0, &mut []);
-        self.broadcast(group, 0, &mut []);
-    }
-}
-
-impl Communicator for DryRunComm {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn world_size(&self) -> usize {
-        self.p
-    }
-
-    fn send(&self, to: usize, data: Vec<f32>) {
-        DryRunComm::send(self, to, data)
-    }
-
-    fn recv(&self, from: usize) -> Vec<f32> {
-        DryRunComm::recv(self, from)
-    }
-
-    fn recv_expect(&self, from: usize, len: usize) -> Vec<f32> {
-        // Sequential replay means a send from a higher rank has not happened
-        // yet when a lower rank's recv replays (the backward hops of a 1F1B
-        // pipeline). The caller declared the payload length, and receives
-        // record nothing in the log, so synthesizing zeros keeps the op/link
-        // streams byte-identical to a live run. When the matching send *did*
-        // already replay, consume it so the queue stays balanced.
-        let queued = self
-            .wire
-            .borrow_mut()
-            .queued
-            .get_mut(&(from, self.rank))
-            .and_then(|q| q.pop_front());
-        if let Some(sent) = queued {
+    /// Receive with a declared length (see [`Communicator::recv_expect`]).
+    ///
+    /// Sequential replay means a send from a higher rank has not happened
+    /// yet when a lower rank's recv replays (the backward hops of a 1F1B
+    /// pipeline). The caller declared the payload length, and receives
+    /// record nothing in the log, so synthesizing zeros keeps the op/link
+    /// streams byte-identical to a live run. When the matching send *did*
+    /// already replay, consume it so the queue stays balanced.
+    pub fn recv_expect(&self, from: usize, len: usize) -> Vec<f32> {
+        if let Some(sent) = self.dequeue(from) {
             assert_eq!(
                 sent, len,
                 "dry-run recv_expect at {} from {from}: declared {len} elems, send queued {sent}",
@@ -479,184 +129,13 @@ impl Communicator for DryRunComm {
         }
         vec![0.0; len]
     }
+}
 
-    fn broadcast_algo_wire(
-        &self,
-        group: &Group,
-        root: usize,
-        data: &mut [f32],
-        algo: CollAlgo,
-        w: WireDtype,
-    ) {
-        traced_op(
-            CommOp::Broadcast,
-            algo,
-            w,
-            group,
-            || self.wire_total(),
-            || {
-                DryRunComm::broadcast_algo_wire(self, group, root, data, algo, w);
-                ((), data.len())
-            },
-        )
-    }
-
-    fn reduce_algo_wire(
-        &self,
-        group: &Group,
-        root: usize,
-        data: &mut [f32],
-        algo: CollAlgo,
-        w: WireDtype,
-    ) {
-        traced_op(
-            CommOp::Reduce,
-            algo,
-            w,
-            group,
-            || self.wire_total(),
-            || {
-                DryRunComm::reduce_algo_wire(self, group, root, data, algo, w);
-                ((), data.len())
-            },
-        )
-    }
-
-    fn ibroadcast(&self, group: &Group, root: usize, buf: Vec<f32>) -> PendingColl {
-        DryRunComm::ibroadcast(self, group, root, buf)
-    }
-
-    fn ireduce(&self, group: &Group, root: usize, buf: Vec<f32>) -> PendingColl {
-        DryRunComm::ireduce(self, group, root, buf)
-    }
-
-    fn all_reduce_algo_wire(&self, group: &Group, data: &mut [f32], algo: CollAlgo, w: WireDtype) {
-        traced_op(
-            CommOp::AllReduce,
-            algo,
-            w,
-            group,
-            || self.wire_total(),
-            || {
-                DryRunComm::all_reduce_algo_wire(self, group, data, algo, w);
-                ((), data.len())
-            },
-        )
-    }
-
-    fn all_reduce_max(&self, group: &Group, data: &mut [f32]) {
-        // No data moves here, so max and sum share one schedule; select the
-        // same algorithm and wire dtype the live backend's max would.
-        let algo = algo::select(CommOp::AllReduce, group.len(), data.len());
-        let w = wire::select(CommOp::AllReduce, group.len(), data.len());
-        traced_op(
-            CommOp::AllReduce,
-            algo,
-            w,
-            group,
-            || self.wire_total(),
-            || {
-                DryRunComm::all_reduce_algo_wire(self, group, data, algo, w);
-                ((), data.len())
-            },
-        )
-    }
-
-    fn all_gather_algo_wire(
-        &self,
-        group: &Group,
-        local: &[f32],
-        algo: CollAlgo,
-        w: WireDtype,
-    ) -> Vec<f32> {
-        traced_op(
-            CommOp::AllGather,
-            algo,
-            w,
-            group,
-            || self.wire_total(),
-            || {
-                (
-                    DryRunComm::all_gather_algo_wire(self, group, local, algo, w),
-                    local.len(),
-                )
-            },
-        )
-    }
-
-    fn reduce_scatter_algo_wire(
-        &self,
-        group: &Group,
-        data: &mut [f32],
-        algo: CollAlgo,
-        w: WireDtype,
-    ) -> Vec<f32> {
-        traced_op(
-            CommOp::ReduceScatter,
-            algo,
-            w,
-            group,
-            || self.wire_total(),
-            || {
-                let n = data.len();
-                (
-                    DryRunComm::reduce_scatter_algo_wire(self, group, data, algo, w),
-                    n,
-                )
-            },
-        )
-    }
-
-    fn scatter(&self, group: &Group, root: usize, data: &[f32]) -> Vec<f32> {
-        traced_op(
-            CommOp::ReduceScatter,
-            CollAlgo::Ring,
-            WireDtype::F32,
-            group,
-            || self.wire_total(),
-            || {
-                let out = DryRunComm::scatter(self, group, root, data);
-                let elems = if data.is_empty() {
-                    out.len() * group.len()
-                } else {
-                    data.len()
-                };
-                (out, elems)
-            },
-        )
-    }
-
-    fn gather(&self, group: &Group, root: usize, local: &[f32]) -> Vec<f32> {
-        traced_op(
-            CommOp::AllGather,
-            CollAlgo::Ring,
-            WireDtype::F32,
-            group,
-            || self.wire_total(),
-            || (DryRunComm::gather(self, group, root, local), local.len()),
-        )
-    }
-
-    fn barrier(&self, group: &Group) {
-        traced_op(
-            CommOp::Barrier,
-            CollAlgo::Tree,
-            WireDtype::F32,
-            group,
-            || self.wire_total(),
-            || {
-                DryRunComm::barrier(self, group);
-                ((), 0)
-            },
-        )
-    }
-
-    fn log_snapshot(&self) -> CommLog {
-        self.log.borrow().clone()
-    }
-
-    fn take_log(&self) -> CommLog {
-        std::mem::replace(&mut self.log.borrow_mut(), CommLog::new(self.rank))
+/// The dry run keeps the default `execute` and `post`: it moves nothing and
+/// completes non-blocking collectives at post.
+impl Transport for DryRunComm {
+    fn log(&self) -> &RefCell<CommLog> {
+        &self.log
     }
 }
 

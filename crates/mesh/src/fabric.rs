@@ -1,5 +1,5 @@
-//! The mailbox fabric connecting simulated devices, and the per-device
-//! context handle.
+//! The mailbox fabric connecting simulated devices, the per-device context
+//! handle, and the interpreter that runs a collective's plan over them.
 //!
 //! Each device owns one [`Mailbox`]: a mutex-protected set of per-source
 //! FIFO queues plus a condvar. A send locks the *destination's* mailbox,
@@ -15,8 +15,14 @@
 //! every peer's mailbox and retires its own, so peers blocked on it panic
 //! with a "disconnected" error instead of hanging.
 
+use crate::collectives::Transport;
+use crate::comm::checked_recv;
+use crate::group::Group;
+use crate::nonblocking::PendingInner;
 use crate::pool::BufferPool;
-use crate::stats::{CommLog, CommOp};
+use crate::schedule::{Fold, Plan, Step};
+use crate::stats::CommLog;
+use crate::wire::{self, packed_len, WireDtype};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -104,18 +110,17 @@ impl Mailbox {
 
 /// Per-device handle: identity plus the mailbox fabric to every peer.
 ///
-/// All collectives ([`DeviceCtx::broadcast`], [`DeviceCtx::reduce`],
-/// [`DeviceCtx::all_reduce`], …) are built on [`DeviceCtx::send`] /
-/// [`DeviceCtx::recv`] and are defined in `collectives.rs`; the
-/// non-blocking `ibroadcast`/`ireduce` live in `nonblocking.rs`. Per-hop
-/// scratch buffers come from a per-device [`BufferPool`]; consumed receive
-/// buffers are recycled back into it, so steady-state collective traffic
-/// allocates nothing.
+/// Collectives come from its [`crate::Communicator`] implementation: each
+/// runs its schedule through the fabric's plan interpreter, on the device
+/// thread or (non-blocking `ibroadcast`/`ireduce`, `nonblocking.rs`) on its
+/// progress thread. Per-hop scratch buffers come from a per-device
+/// [`BufferPool`]; consumed receive buffers are recycled back into it, so
+/// steady-state collective traffic allocates nothing.
 pub struct DeviceCtx {
     rank: usize,
     p: usize,
     /// `boxes[d]` — device `d`'s mailbox; `boxes[rank]` is our own.
-    boxes: Vec<Arc<Mailbox>>,
+    pub(crate) boxes: Vec<Arc<Mailbox>>,
     log: RefCell<CommLog>,
     pool: RefCell<BufferPool>,
     /// Lazily spawned background progress thread for non-blocking
@@ -149,11 +154,6 @@ impl DeviceCtx {
         self.p
     }
 
-    /// A clone of the mailbox handles, for the progress thread.
-    pub(crate) fn boxes(&self) -> Vec<Arc<Mailbox>> {
-        self.boxes.clone()
-    }
-
     /// Point-to-point send. Counted in the [`CommLog`].
     pub fn send(&self, to: usize, data: Vec<f32>) {
         assert!(to < self.p, "send to rank {to} out of range (p={})", self.p);
@@ -167,69 +167,9 @@ impl DeviceCtx {
         self.boxes[self.rank].pop(from, self.rank)
     }
 
-    /// Sends a copy of `data`, drawing the owned buffer from the scratch
-    /// pool instead of allocating. The collective hot path.
-    pub(crate) fn send_copy(&self, to: usize, data: &[f32]) {
-        let mut buf = self.pool.borrow_mut().take(data.len());
-        buf.extend_from_slice(data);
-        self.send(to, buf);
-    }
-
-    /// Sends a copy of `data` at wire precision `w`: the full-width path is
-    /// [`DeviceCtx::send_copy`] unchanged; a 16-bit dtype packs two values
-    /// per f32 slot, so the buffer on the wire (and in the link record) is
-    /// physically half-length. Bytes-on-wire metrics are fed here.
-    pub(crate) fn send_wire(&self, to: usize, data: &[f32], w: crate::WireDtype) {
-        metrics::device_counter_add(
-            "coll_wire_bytes",
-            (crate::packed_len(data.len(), w) * 4) as u64,
-        );
-        metrics::device_counter_add("coll_logical_bytes", (data.len() * 4) as u64);
-        if w.is_f32() {
-            return self.send_copy(to, data);
-        }
-        let mut buf = self
-            .pool
-            .borrow_mut()
-            .take(crate::packed_len(data.len(), w));
-        crate::wire::pack_into(data, w, &mut buf);
-        self.send(to, buf);
-    }
-
-    /// Receives a payload of `expect` logical elements sent at wire
-    /// precision `w` and returns it unpacked to full-width f32 (a pooled
-    /// buffer — recycle it when consumed, exactly like a raw [`DeviceCtx::recv`]).
-    pub(crate) fn recv_wire(&self, from: usize, expect: usize, w: crate::WireDtype) -> Vec<f32> {
-        let incoming = self.recv(from);
-        assert_eq!(
-            incoming.len(),
-            crate::packed_len(expect, w),
-            "rank {} expected {expect} elems ({} wire slots) from {from}, got {}",
-            self.rank,
-            crate::packed_len(expect, w),
-            incoming.len()
-        );
-        if w.is_f32() {
-            return incoming;
-        }
-        let mut out = self.pool.borrow_mut().take(expect);
-        out.resize(expect, 0.0);
-        crate::wire::unpack_with(&incoming, expect, w, |i, v| out[i] = v);
-        self.recycle(incoming);
-        out
-    }
-
-    /// Draws an empty scratch buffer with capacity ≥ `len` from the pool
-    /// (for collective-internal staging, e.g. Bruck's rotation buffer);
-    /// return it with [`DeviceCtx::recycle`].
-    pub(crate) fn take_buf(&self, len: usize) -> Vec<f32> {
-        self.pool.borrow_mut().take(len)
-    }
-
-    /// Returns a consumed receive buffer to the scratch pool so a later
-    /// internal `send_copy` can reuse its allocation.
-    pub fn recycle(&self, buf: Vec<f32>) {
-        self.pool.borrow_mut().put(buf);
+    /// Point-to-point receive of a declared length; a mismatch panics.
+    pub fn recv_expect(&self, from: usize, len: usize) -> Vec<f32> {
+        checked_recv(self.rank, from, len, self.recv(from))
     }
 
     /// Buffers the scratch pool had to allocate fresh (pool misses) since
@@ -244,31 +184,6 @@ impl DeviceCtx {
         self.pool.borrow_mut().reset_stats();
     }
 
-    /// Records a collective operation in the log (used by `collectives.rs`).
-    pub(crate) fn record_op(
-        &self,
-        op: CommOp,
-        algo: crate::CollAlgo,
-        group: &crate::Group,
-        elems: usize,
-    ) {
-        crate::stats::record_group_op(&mut self.log.borrow_mut(), op, algo, group, elems);
-    }
-
-    /// Records the link a point-to-point send *will* perform. Non-blocking
-    /// collectives log their whole send schedule at post time on the device
-    /// thread (the log is not thread-safe and the op/link stream must match
-    /// the dry-run backend's), while the progress thread moves the bytes.
-    pub(crate) fn record_planned_send(&self, to: usize, elems: usize) {
-        self.log.borrow_mut().record_link(self.rank, to, elems);
-    }
-
-    /// O(1) total of elements this device has sent so far; the tracer
-    /// samples it before/after a collective to attribute wire traffic.
-    pub(crate) fn wire_total(&self) -> usize {
-        self.log.borrow().total_link_elems()
-    }
-
     /// Extracts the accumulated communication log (resets it).
     pub fn take_log(&self) -> CommLog {
         std::mem::replace(&mut self.log.borrow_mut(), CommLog::new(self.rank))
@@ -277,6 +192,114 @@ impl DeviceCtx {
     /// Read-only snapshot of the current log.
     pub fn log_snapshot(&self) -> CommLog {
         self.log.borrow().clone()
+    }
+}
+
+impl Transport for DeviceCtx {
+    fn log(&self) -> &RefCell<CommLog> {
+        &self.log
+    }
+
+    fn execute(&self, plan: &Plan, group: &Group, buf: &mut [f32], wire: Option<WireDtype>) {
+        let mut end = Endpoint {
+            rank: self.rank,
+            boxes: &self.boxes,
+            pool: &mut self.pool.borrow_mut(),
+            metered: wire.is_some(),
+        };
+        end.execute(plan, group, wire.unwrap_or_default(), buf);
+    }
+
+    fn post(&self, plan: Plan, group: &Group, w: WireDtype, buf: Vec<f32>) -> PendingInner {
+        self.enqueue(plan, group, w, buf)
+    }
+}
+
+/// One device's end of the fabric as the plan interpreter sees it: the
+/// mailboxes, a scratch pool (the device's own, or its progress thread's),
+/// and whether sends feed the `coll_wire_bytes` / `coll_logical_bytes`
+/// counters.
+pub(crate) struct Endpoint<'a> {
+    pub rank: usize,
+    pub boxes: &'a [Arc<Mailbox>],
+    pub pool: &'a mut BufferPool,
+    pub metered: bool,
+}
+
+impl Endpoint<'_> {
+    /// The live interpreter: runs `plan` over `buf`, packing each `Send`
+    /// into a pooled buffer at wire precision `w` (a 16-bit dtype moves the
+    /// half-length packed form) and folding each `Recv` in place. The
+    /// plan's link records are already logged.
+    pub(crate) fn execute(
+        &mut self,
+        plan: &Plan,
+        group: &Group,
+        w: WireDtype,
+        mut buf: impl PlanBuf,
+    ) {
+        if plan.rotate > 0 {
+            buf.as_mut().rotate_left(plan.rotate);
+        }
+        for step in &plan.steps {
+            match *step {
+                Step::Send { to, lo, hi } => {
+                    let (to, data) = (group.rank_of(to), &buf.as_mut()[lo..hi]);
+                    let mut msg = self.pool.take(packed_len(data.len(), w));
+                    if w.is_f32() {
+                        msg.extend_from_slice(data);
+                    } else {
+                        wire::pack_into(data, w, &mut msg);
+                    }
+                    if self.metered {
+                        metrics::device_counter_add("coll_wire_bytes", (msg.len() * 4) as u64);
+                        metrics::device_counter_add("coll_logical_bytes", (data.len() * 4) as u64);
+                    }
+                    self.boxes[to].push(self.rank, to, msg);
+                }
+                Step::Recv { from, lo, hi, fold } => {
+                    let from = group.rank_of(from);
+                    let mut msg = self.boxes[self.rank].pop(from, self.rank);
+                    let want = packed_len(hi - lo, w);
+                    assert_eq!(
+                        msg.len(),
+                        want,
+                        "rank {} expected {} elems ({want} wire slots) from {from}, got {}",
+                        self.rank,
+                        hi - lo,
+                        msg.len()
+                    );
+                    let whole = fold == Fold::Copy && w.is_f32() && hi - lo == buf.as_mut().len();
+                    if !(whole && buf.adopt(&mut msg)) {
+                        fold.apply(&mut buf.as_mut()[lo..hi], &msg, w);
+                    }
+                    self.pool.put(msg);
+                }
+            }
+        }
+        if plan.rotate > 0 {
+            buf.as_mut().rotate_right(plan.rotate);
+        }
+    }
+}
+
+/// A plan's buffer: a blocking collective's borrowed slice, or a queued
+/// task's own vector, which takes a whole-buffer full-width message in
+/// place of a copy (the non-root broadcast hop).
+pub(crate) trait PlanBuf: AsMut<[f32]> {
+    /// Swaps `msg` in as the whole buffer; false when the buffer is
+    /// borrowed and must be copied into.
+    fn adopt(&mut self, _msg: &mut Vec<f32>) -> bool {
+        false
+    }
+}
+
+impl PlanBuf for &mut [f32] {}
+
+impl PlanBuf for &mut Vec<f32> {
+    fn adopt(&mut self, msg: &mut Vec<f32>) -> bool {
+        std::mem::swap(*self, msg);
+        true
     }
 }
 
@@ -311,7 +334,7 @@ impl Drop for DeviceCtx {
 
 #[cfg(test)]
 mod tests {
-    use crate::{Group, Mesh};
+    use crate::{Communicator, Group, Mesh};
 
     #[test]
     fn p2p_send_recv_roundtrip() {
@@ -383,5 +406,19 @@ mod tests {
             ctx.barrier(&Group::world(2));
         });
         assert_eq!(logs[0].total_link_elems(), 100 + logs[1].total_link_elems());
+    }
+
+    /// A declared length the wire does not carry must fail loudly, in
+    /// release builds too.
+    #[test]
+    #[should_panic]
+    fn recv_expect_length_mismatch_panics_on_the_live_backend() {
+        Mesh::run(2, |ctx| {
+            if ctx.rank() == 0 {
+                Communicator::send(ctx, 1, vec![0.0; 3]);
+            } else {
+                Communicator::recv_expect(ctx, 0, 4);
+            }
+        });
     }
 }

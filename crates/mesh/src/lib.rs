@@ -36,6 +36,10 @@
 //!   `perf` cost model at mesh sizes too big to simulate
 //!   (`optimus-cli --dry-run`).
 //!
+//! Collectives are data: one generator per (collective, algorithm) returns
+//! each member's ordered send/receive steps, which the live fabric executes
+//! and the dry run only logs, so the two logs agree by construction.
+//!
 //! Library code is generic: layers take `&Grid2d<C>` (or `&C`) with
 //! `C: Communicator` and run unmodified on either backend. Entry points:
 //! [`Mesh::run_with_logs`] / [`Mesh2d::run_with_logs`] (live) and
@@ -72,6 +76,7 @@ mod group;
 mod mesh2d;
 mod nonblocking;
 mod pool;
+mod schedule;
 mod shape;
 mod stats;
 mod topology;

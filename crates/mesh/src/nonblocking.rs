@@ -31,11 +31,15 @@
 //!   log is single-threaded, and this keeps the live op/link stream
 //!   byte-identical to the blocking path and to the dry-run backend. The
 //!   executors only move payloads.
-//! * **Same trees, same order.** Tasks walk the shared
-//!   [`crate::collectives::bcast_tree`] / [`crate::collectives::reduce_tree`]
-//!   schedules the blocking collectives use, and `ireduce` accumulates
-//!   incoming buffers in exactly the blocking receive order — overlapped
-//!   results are **bitwise identical** to the serial reference.
+//! * **Same plans, same interpreter.** A task carries the tree plan the
+//!   blocking collective builds (`schedule.rs`), and both executors run it
+//!   through the live fabric's interpreter, so `ireduce` accumulates in
+//!   exactly the blocking receive order and overlapped results are
+//!   **bitwise identical** to the serial reference.
+//! * **Tree-only, by policy.** A plan of any algorithm could be queued, but
+//!   non-blocking posts always run the binomial tree, whatever the installed
+//!   table picks: the tree is the blocking default, so overlapped results
+//!   stay bitwise equal to the default blocking path.
 //!
 //! # Discipline
 //!
@@ -56,28 +60,32 @@
 //! `max(now, post + price)` — time hidden behind compute costs nothing,
 //! which is how a dry run prices overlap (see `perf`).
 
-use crate::collectives::{bcast_tree, reduce_tree};
-use crate::fabric::{DeviceCtx, Mailbox};
+use crate::algo::CollAlgo;
+use crate::collectives::{op_meta, record_op, record_sends, rooted, wire_total, Transport};
+use crate::fabric::{DeviceCtx, Endpoint, Mailbox};
 use crate::group::Group;
 use crate::pool::BufferPool;
-use crate::stats::{group_shape, CommOp};
-use crate::wire::{self, packed_len, WireDtype};
+use crate::schedule::{self, Plan};
+use crate::stats::CommOp;
+use crate::wire::{self, WireDtype};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+/// The algorithm every non-blocking collective runs (see the module docs).
+const ALGO: CollAlgo = CollAlgo::Tree;
+
+/// Trace bookkeeping captured at post: (post timestamp, op metadata).
+pub(crate) type Traced = Option<(u64, trace::OpMeta)>;
+
 /// One posted collective, executed by whichever executor claims it first.
 pub(crate) struct CollTask {
     /// Post-order ticket tying this task to its [`PendingColl`] handle.
     id: u64,
-    /// `true` — sum incoming buffers into `buf` (reduce); `false` — replace
-    /// `buf` with the incoming payload (broadcast receive).
-    accumulate: bool,
-    /// Absolute ranks to receive from, in tree order.
-    recv_from: Vec<usize>,
-    /// Absolute ranks to send to, in tree order.
-    send_to: Vec<usize>,
+    /// This member's part of the collective.
+    plan: Plan,
+    group: Group,
     /// Wire precision every hop of this collective uses (fixed at post).
     wire: WireDtype,
     buf: Vec<f32>,
@@ -153,50 +161,17 @@ impl Drop for RunningGuard<'_> {
     }
 }
 
-/// Executes one task: receive (accumulate or swap) in tree order, then
-/// send. Caller holds the `running` claim and is responsible for parking
-/// the returned completion in `TaskQueue::done` (or returning it directly
-/// if it is the caller's own).
+/// Executes one task's plan. Caller holds the `running` claim and is
+/// responsible for parking the returned completion in `TaskQueue::done`
+/// (or returning it directly if it is the caller's own).
 fn run_task(shared: &ExecShared, mut task: CollTask) -> (u64, Vec<f32>, Instant) {
-    let mut pool = shared.pool.lock().unwrap_or_else(|e| e.into_inner());
-    let w = task.wire;
-    let n = task.buf.len();
-    for &src in &task.recv_from {
-        let incoming = shared.boxes[shared.rank].pop(src, shared.rank);
-        assert_eq!(
-            incoming.len(),
-            packed_len(n, w),
-            "pending collective size mismatch (device {} <- {src})",
-            shared.rank
-        );
-        if w.is_f32() {
-            if task.accumulate {
-                for (d, v) in task.buf.iter_mut().zip(&incoming) {
-                    *d += *v;
-                }
-                pool.put(incoming);
-            } else {
-                pool.put(std::mem::replace(&mut task.buf, incoming));
-            }
-        } else {
-            let buf = &mut task.buf;
-            if task.accumulate {
-                wire::unpack_with(&incoming, n, w, |i, v| buf[i] += v);
-            } else {
-                wire::unpack_with(&incoming, n, w, |i, v| buf[i] = v);
-            }
-            pool.put(incoming);
-        }
-    }
-    for &dst in &task.send_to {
-        let mut out = pool.take(packed_len(n, w));
-        if w.is_f32() {
-            out.extend_from_slice(&task.buf);
-        } else {
-            wire::pack_into(&task.buf, w, &mut out);
-        }
-        shared.boxes[dst].push(shared.rank, dst, out);
-    }
+    let mut end = Endpoint {
+        rank: shared.rank,
+        boxes: &shared.boxes,
+        pool: &mut shared.pool.lock().unwrap_or_else(|e| e.into_inner()),
+        metered: false,
+    };
+    end.execute(&task.plan, &task.group, task.wire, &mut task.buf);
     (task.id, task.buf, Instant::now())
 }
 
@@ -207,10 +182,6 @@ pub(crate) struct Progress {
 }
 
 impl Progress {
-    pub(crate) fn shared(&self) -> Arc<ExecShared> {
-        self.shared.clone()
-    }
-
     /// Asks the worker to exit after draining queued tasks and returns its
     /// handle for joining.
     pub(crate) fn shutdown(self) -> JoinHandle<()> {
@@ -271,7 +242,7 @@ fn progress_worker(shared: Arc<ExecShared>) {
     }
 }
 
-enum PendingInner {
+pub(crate) enum PendingInner {
     /// Completed at post time (trivial group, or the dry-run backend).
     Ready(Vec<f32>),
     /// Queued on the device's pending-collective queue under ticket `id`.
@@ -289,12 +260,11 @@ pub struct PendingColl {
     inner: PendingInner,
     /// Collective kind, labeling the metrics wait histograms.
     op: CommOp,
-    /// Trace bookkeeping captured at post: (post timestamp, op metadata).
-    traced: Option<(u64, trace::OpMeta)>,
+    traced: Traced,
 }
 
 impl PendingColl {
-    pub(crate) fn ready(op: CommOp, buf: Vec<f32>, traced: Option<(u64, trace::OpMeta)>) -> Self {
+    pub(crate) fn ready(op: CommOp, buf: Vec<f32>, traced: Traced) -> Self {
         PendingColl {
             inner: PendingInner::Ready(buf),
             op,
@@ -386,75 +356,71 @@ fn complete(shared: &ExecShared, my_id: u64) -> (Vec<f32>, Instant) {
     }
 }
 
-/// Records a pending collective's op + link schedule at post time and, when
-/// a collector is active, captures the op metadata for the wait-side event.
-/// The log records go inside a `comm.pending` span so traces show the post.
-pub(crate) fn post_records(
-    wire_total: impl Fn() -> usize,
+/// Posts a non-blocking broadcast or reduce on either backend: builds the
+/// tree plan, records the op and the plan's sends at post time (inside a
+/// `comm.pending` span when tracing, capturing the op metadata for the
+/// wait-side event), then hands the plan to the backend.
+pub(crate) fn post<T: Transport>(
+    t: &T,
     op: CommOp,
     group: &Group,
-    elems: usize,
-    w: WireDtype,
-    record: impl FnOnce(),
-) -> Option<(u64, trace::OpMeta)> {
-    if !trace::is_active() {
+    root: usize,
+    buf: Vec<f32>,
+) -> PendingColl {
+    let ((g, me), n) = (rooted(t, group, root), buf.len());
+    let plan = match op {
+        CommOp::Broadcast => schedule::broadcast(ALGO, g, root, me, n),
+        CommOp::Reduce => schedule::reduce(ALGO, g, root, me, n),
+        other => unreachable!("{other:?} has no non-blocking form"),
+    };
+    let w = wire::select(op, g, n);
+    let record = || {
+        record_op(t, op, ALGO, group, n);
+        record_sends(t, &plan, group, w);
+    };
+    let traced = if trace::is_active() {
+        let wire_before = wire_total(t);
+        trace::span("comm.pending", record);
+        let wire_elems = wire_total(t) - wire_before;
+        Some((trace::now_ns(), op_meta(op, ALGO, w, group, n, wire_elems)))
+    } else {
         record();
-        return None;
-    }
-    let wire_before = wire_total();
-    trace::span("comm.pending", record);
-    let wire_elems = wire_total() - wire_before;
-    let (group_size, group_first, group_stride) = group_shape(group);
-    Some((
-        trace::now_ns(),
-        trace::OpMeta {
-            kind: op.name(),
-            group_size,
-            group_first,
-            group_stride,
-            elems,
-            wire_elems,
-            axis: group.label(),
-            // Non-blocking collectives are tree-only: a queued CollTask is
-            // receive-all-then-send-all, which cannot express a pipelined
-            // chain or a ring step sequence.
-            algo: crate::CollAlgo::Tree.name(),
-            wire: w.name(),
-        },
-    ))
+        None
+    };
+    let inner = if plan.steps.is_empty() {
+        PendingInner::Ready(buf)
+    } else {
+        t.post(plan, group, w, buf)
+    };
+    PendingColl { inner, op, traced }
 }
 
 impl DeviceCtx {
-    fn progress_shared(&self) -> Arc<ExecShared> {
-        let mut slot = self.progress.borrow_mut();
-        slot.get_or_insert_with(|| spawn_progress(self.rank(), self.boxes()))
-            .shared()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn post(
+    /// Queues a posted collective on this device's progress queue.
+    pub(crate) fn enqueue(
         &self,
-        op: CommOp,
-        accumulate: bool,
-        recv_from: Vec<usize>,
-        send_to: Vec<usize>,
+        plan: Plan,
+        group: &Group,
         w: WireDtype,
         buf: Vec<f32>,
-        traced: Option<(u64, trace::OpMeta)>,
-    ) -> PendingColl {
+    ) -> PendingInner {
         // Capture the post instant *before* queueing the task: an executor's
         // completion instant must not precede it.
         let posted = Instant::now();
-        let shared = self.progress_shared();
+        let shared = {
+            let mut slot = self.progress.borrow_mut();
+            let progress =
+                slot.get_or_insert_with(|| spawn_progress(self.rank(), self.boxes.clone()));
+            progress.shared.clone()
+        };
         let id = {
             let mut q = qlock(&shared);
             let id = q.next_id;
             q.next_id += 1;
             q.tasks.push_back(CollTask {
                 id,
-                accumulate,
-                recv_from,
-                send_to,
+                plan,
+                group: group.clone(),
                 wire: w,
                 buf,
             });
@@ -463,96 +429,13 @@ impl DeviceCtx {
         if shared.eager {
             shared.cv_worker.notify_one();
         }
-        PendingColl {
-            inner: PendingInner::Live { id, posted, shared },
-            op,
-            traced,
-        }
-    }
-
-    /// Non-blocking broadcast from group index `root`. Non-root buffers must
-    /// be pre-sized to the root's payload length (the pending receive cannot
-    /// resize the logical payload recorded at post). Returns immediately;
-    /// the transfer proceeds in the background (see the module docs).
-    pub fn ibroadcast(&self, group: &Group, root: usize, buf: Vec<f32>) -> PendingColl {
-        let g = group.len();
-        assert!(root < g, "root index {root} out of range for group of {g}");
-        let me = group
-            .index_of(self.rank())
-            .unwrap_or_else(|| panic!("device {} is not in group {:?}", self.rank(), group));
-        let rel = (me + g - root) % g;
-        let abs = |r: usize| group.rank_of((r + root) % g);
-        let (parent, children) = bcast_tree(g, rel);
-        let w = wire::select(CommOp::Broadcast, g, buf.len());
-
-        // Blocking broadcast records links (via send_wire) before the op;
-        // keep that order so the streams match record-for-record.
-        let traced = post_records(
-            || self.wire_total(),
-            CommOp::Broadcast,
-            group,
-            buf.len(),
-            w,
-            || {
-                for &child in &children {
-                    self.record_planned_send(abs(child), packed_len(buf.len(), w));
-                }
-                self.record_op(CommOp::Broadcast, crate::CollAlgo::Tree, group, buf.len());
-            },
-        );
-        if g == 1 {
-            return PendingColl::ready(CommOp::Broadcast, buf, traced);
-        }
-        let recv_from: Vec<usize> = parent.map(abs).into_iter().collect();
-        let mut send_to = children;
-        for c in &mut send_to {
-            *c = abs(*c);
-        }
-        self.post(CommOp::Broadcast, false, recv_from, send_to, w, buf, traced)
-    }
-
-    /// Non-blocking sum-reduce to group index `root`. Only the root's waited
-    /// buffer holds the full sum; other members get partial-sum scratch.
-    pub fn ireduce(&self, group: &Group, root: usize, buf: Vec<f32>) -> PendingColl {
-        let g = group.len();
-        assert!(root < g, "root index {root} out of range for group of {g}");
-        let me = group
-            .index_of(self.rank())
-            .unwrap_or_else(|| panic!("device {} is not in group {:?}", self.rank(), group));
-        let rel = (me + g - root) % g;
-        let abs = |r: usize| group.rank_of((r + root) % g);
-        let (sources, target) = reduce_tree(g, rel);
-        let w = wire::select(CommOp::Reduce, g, buf.len());
-
-        // Blocking reduce records the op before any transfer; match it.
-        let traced = post_records(
-            || self.wire_total(),
-            CommOp::Reduce,
-            group,
-            buf.len(),
-            w,
-            || {
-                self.record_op(CommOp::Reduce, crate::CollAlgo::Tree, group, buf.len());
-                if let Some(target) = target {
-                    self.record_planned_send(abs(target), packed_len(buf.len(), w));
-                }
-            },
-        );
-        if g == 1 {
-            return PendingColl::ready(CommOp::Reduce, buf, traced);
-        }
-        let mut recv_from = sources;
-        for s in &mut recv_from {
-            *s = abs(*s);
-        }
-        let send_to: Vec<usize> = target.map(abs).into_iter().collect();
-        self.post(CommOp::Reduce, true, recv_from, send_to, w, buf, traced)
+        PendingInner::Live { id, posted, shared }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::{Group, Mesh};
+    use crate::{Communicator, Group, Mesh};
 
     #[test]
     fn ibroadcast_matches_blocking_for_every_root() {

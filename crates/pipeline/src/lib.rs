@@ -35,7 +35,7 @@
 //! (`OBSERVABILITY.md` at the repo root); for α-β projections of pipeline
 //! schedules use `perf`'s analytic pipeline cost model instead.
 
-use mesh::{DeviceCtx, Group};
+use mesh::{Communicator, DeviceCtx, Group};
 use serial::{layer_backward, layer_forward, LayerCache, LayerGrads, LayerParams, ModelConfig};
 use tensor::layernorm::{layer_norm_backward, layer_norm_forward, LnCache, LN_EPS};
 use tensor::loss::cross_entropy;

@@ -3,7 +3,7 @@
 //! the cross-scheme equivalence tests meaningful.
 
 use optimus::megatron::{MegatronConfig, MegatronModel};
-use optimus::mesh::{Group, Mesh, Mesh2d};
+use optimus::mesh::{Communicator, Group, Mesh, Mesh2d};
 use optimus::optimus_core::{OptimusConfig, OptimusModel};
 use optimus::serial::{ModelConfig, SerialModel};
 use optimus::tensor::Rng;

@@ -2,7 +2,7 @@
 //! configurations must be rejected loudly rather than corrupting results.
 
 use optimus::megatron::MegatronConfig;
-use optimus::mesh::{Group, Mesh, Mesh2d};
+use optimus::mesh::{Communicator, Group, Mesh, Mesh2d};
 use optimus::optimus_core::{OptimusConfig, OptimusModel};
 use optimus::serial::ModelConfig;
 

@@ -5,7 +5,7 @@
 //! external property-testing framework) — each test sweeps a fixed grid of
 //! structural parameters and draws the rest from per-case seeds.
 
-use optimus::mesh::{Group, Mesh, Mesh2d};
+use optimus::mesh::{Communicator, Group, Mesh, Mesh2d};
 use optimus::summa::{collect_blocks, distribute, summa_nn, summa_nt, summa_tn};
 use optimus::tensor::{matmul_nn, matmul_nt, matmul_tn, max_abs_diff, Rng, Tensor};
 

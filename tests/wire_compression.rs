@@ -8,7 +8,7 @@
 //! so they serialize on a mutex; the table-installing test restores the
 //! baseline before releasing it.
 
-use mesh::{Group, Mesh, WireDtype, WireTable};
+use mesh::{Communicator, Group, Mesh, WireDtype, WireTable};
 use optimus_core::{hybrid_layout, hybrid_train_step_ef, OptimusConfig, OptimusModel};
 use perf::{CostModel, HardwareProfile};
 use std::sync::Mutex;
